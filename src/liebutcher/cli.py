@@ -53,9 +53,14 @@ def _check_degree(n: int) -> int:
     return n
 
 
+def _print_json(body) -> None:
+    """Strict JSON on stdout: a NaN or infinity raises ValueError (exit 1)."""
+    print(json.dumps(body, allow_nan=False))
+
+
 def _emit_series(s: Series, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(s.to_json()))
+        _print_json(s.to_json())
         return
     if not s.terms:
         print("0")
@@ -135,7 +140,7 @@ def _cmd_order(args) -> int:
         },
     }
     if args.format == "json":
-        print(json.dumps(report))
+        _print_json(report)
     elif defect is None:
         print(f"order >= {order} (no defect through degree {n})")
     else:
@@ -156,7 +161,7 @@ def _cmd_enumerate(args) -> int:
         body = {"what": args.what, "degree": args.degree, "count": len(items)}
         if not args.count_only:
             body["items"] = items
-        print(json.dumps(body))
+        _print_json(body)
     elif args.count_only:
         print(len(items))
     else:
@@ -177,7 +182,7 @@ def _cmd_axioms(args) -> int:
             "witness": report.witness,
         }
         if args.format == "json":
-            print(json.dumps(body))
+            _print_json(body)
         elif report.passed:
             print(f"pass: both identities hold on {report.triples} tree triples")
         else:
@@ -196,7 +201,7 @@ def _cmd_axioms(args) -> int:
         ),
     ]
     if args.format == "json":
-        print(json.dumps(reports))
+        _print_json(reports)
     else:
         for r in reports:
             verdict = "pass" if r["pass"] else "FAIL"
@@ -218,10 +223,7 @@ _PROBLEMS = {
 def _cmd_integrate(args) -> int:
     field, y0 = _PROBLEMS[args.problem]()
     points = sphere.trajectory(field, y0, args.h, args.steps, args.method)
-    rows = [
-        (t, y[0], y[1], y[2], sphere.norm_defect(y))
-        for t, y in points
-    ]
+    rows = [(t, *y.tolist(), sphere.norm_defect(y)) for t, y in points]
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -229,16 +231,14 @@ def _cmd_integrate(args) -> int:
             writer.writerows([[repr(v) for v in row] for row in rows])
     if args.format == "json":
         final = rows[-1]
-        print(
-            json.dumps(
-                {
-                    "method": args.method,
-                    "h": args.h,
-                    "steps": args.steps,
-                    "final": list(final[1:4]),
-                    "max_norm_defect": max(r[4] for r in rows),
-                }
-            )
+        _print_json(
+            {
+                "method": args.method,
+                "h": args.h,
+                "steps": args.steps,
+                "final": list(final[1:4]),
+                "max_norm_defect": max(r[4] for r in rows),
+            }
         )
     elif not args.csv:
         print("t,y1,y2,y3,norm_defect")
@@ -254,7 +254,7 @@ def _cmd_converge(args) -> int:
     hs = [float(part) for part in args.hs.split(",") if part.strip()]
     report = sphere.convergence_study(field, y0, args.T, args.method, hs, args.refine)
     if args.format == "json":
-        print(json.dumps(report))
+        _print_json(report)
     else:
         for h, e in zip(report["h"], report["errors"]):
             print(f"h={h:g}  error={e:.6e}")

@@ -7,15 +7,22 @@ shuffles) represent flows; infinitesimal characters (vanishing on shuffles)
 represent vector fields.  The concatenation exponential produces the
 frozen-field Euler flow, the Grossman-Larson exponential the exact flow,
 and the Magnus-type map chi links the two: exp_concat(a) = exp_gl(chi(a)).
+
+Both predicates read the deshuffle coproduct instead of evaluating on
+shuffles: <a, u sh v> is the weight of (u, v) in deshuffle(a), so a is a
+character iff deshuffle(a) = a (x) a and infinitesimal iff its coproduct is
+a (x) 1 + 1 (x) a (Friedrichs' criterion).  Both exponentials and the
+logarithm share one power-series loop.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .postlie import gl_product, triangleright
-from .series import Series, concat, shuffle
+from .series import Series, concat, deshuffle
 from .trees import EMPTY_FOREST, LEAF, enumerate_forests
 
 __all__ = [
@@ -49,41 +56,30 @@ def _bound(a: Series) -> int:
     return a.trunc if a.trunc is not None else a.max_degree()
 
 
-def _eval_on(a: Series, s: Series) -> Fraction:
-    return sum((c * a.coeff(f) for f, c in s.terms.items()), Fraction(0))
-
-
 def is_inf_character(a: Series) -> bool:
-    """True iff a kills the empty forest and every shuffle of non-empty forests.
-
-    Checked for all pairs with total degree up to the truncation (or the
-    support degree when the series is exact).
-    """
-    if a.coeff(EMPTY_FOREST) != 0:
-        return False
-    n = _bound(a)
-    for p in range(1, n):
-        for u in enumerate_forests(p):
-            su = Series.of(u)
-            for q in range(1, n - p + 1):
-                for v in enumerate_forests(q):
-                    if _eval_on(a, shuffle(su, Series.of(v))) != 0:
-                        return False
-    return True
+    """True iff a kills 1 and u sh v for u, v != 1: deshuffle(a) = a (x) 1 + 1 (x) a."""
+    return all(bool(u.trees) != bool(v.trees) for u, v in deshuffle(a))
 
 
 def is_character(a: Series) -> bool:
-    """True iff a is multiplicative on shuffles for all forest pairs in range."""
+    """True iff a is multiplicative on shuffles: deshuffle(a) = a (x) a.
+
+    Pairs range over total degree up to the truncation, or the support
+    degree when the series is exact.
+    """
     n = _bound(a)
-    for p in range(0, n + 1):
-        for u in enumerate_forests(p):
-            au = a.coeff(u)
-            su = Series.of(u)
-            for q in range(0, n - p + 1):
-                for v in enumerate_forests(q):
-                    if _eval_on(a, shuffle(su, Series.of(v))) != au * a.coeff(v):
-                        return False
-    return True
+    by_degree: dict[int, list] = {}
+    for f, c in a.terms.items():
+        by_degree.setdefault(f.degree, []).append((f, c))
+    square = {
+        (u, v): cu * cv
+        for p, left in by_degree.items()
+        for q, right in by_degree.items()
+        if p + q <= n
+        for u, cu in left
+        for v, cv in right
+    }
+    return deshuffle(a) == square
 
 
 class FieldSeries:
@@ -134,20 +130,24 @@ def _as_series(a) -> Series:
     return a
 
 
-def _series_exp(a: Series, n: int, product) -> Series:
-    if a.coeff(EMPTY_FOREST) != 0:
-        raise ValueError("exponential requires a zero constant term")
-    x = a.truncated(n)
-    out = Series.unit(n)
+def _power_series(x: Series, n: int, product, weight) -> Series:
+    """Sum over k = 1..n of weight(k) * x^k, powers taken under product."""
+    out = Series.zero(n)
     power = Series.unit(n)
-    kfac = 1
     for k in range(1, n + 1):
         power = product(power, x)
         if not power:
             break
-        kfac *= k
-        out = out + power * Fraction(1, kfac)
+        out = out + power * weight(k)
     return out
+
+
+def _series_exp(a: Series, n: int, product) -> Series:
+    if a.coeff(EMPTY_FOREST) != 0:
+        raise ValueError("exponential requires a zero constant term")
+    return Series.unit(n) + _power_series(
+        a.truncated(n), n, product, lambda k: Fraction(1, math.factorial(k))
+    )
 
 
 def exp_concat(a, n: int, validate: bool = True) -> MethodCharacter:
@@ -167,13 +167,7 @@ def log_gl(c, validate: bool = True) -> FieldSeries:
         raise ValueError("logarithm requires constant term 1")
     n = _bound(s)
     x = (s - Series.unit(s.trunc)).truncated(n)
-    out = Series.zero(n)
-    power = Series.unit(n)
-    for k in range(1, n + 1):
-        power = gl_product(power, x)
-        if not power:
-            break
-        out = out + power * Fraction((-1) ** (k + 1), k)
+    out = _power_series(x, n, gl_product, lambda k: Fraction((-1) ** (k + 1), k))
     return FieldSeries(out, validate=validate)
 
 

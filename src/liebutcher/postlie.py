@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import Series, concat, deshuffle_forest, min_trunc
+from .series import Series, bilinear, concat, deshuffle_forest
 from .trees import Forest, Tree, enumerate_trees, render_forest, tree_sort_key
 
 __all__ = [
@@ -57,11 +57,7 @@ def graft_attachments(t1: Tree, t2: Tree) -> tuple[Tree, ...]:
 
 def graft(t1: Tree, t2: Tree) -> Series:
     """Left grafting of trees: the sum over all attachment nodes of t2."""
-    acc: dict[Forest, Fraction] = {}
-    for t in graft_attachments(t1, t2):
-        f = Forest((t,))
-        acc[f] = acc.get(f, Fraction(0)) + 1
-    return Series(acc)
+    return triangleright(Series.of(t1), Series.of(t2))
 
 
 class GraftExtension:
@@ -133,23 +129,11 @@ class GraftExtension:
 _DEFAULT_EXTENSION = GraftExtension()
 
 
-def _bilinear(a: Series, b: Series, basis_fn) -> Series:
-    trunc = min_trunc(a.trunc, b.trunc)
-    acc: dict[Forest, Fraction] = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            if trunc is not None and wa.degree + wb.degree > trunc:
-                continue
-            scale = ca * cb
-            for f, c in basis_fn(wa, wb):
-                acc[f] = acc.get(f, Fraction(0)) + scale * c
-    return Series(acc, trunc)
-
-
 def triangleright(a: Series, b: Series, extension: GraftExtension | None = None) -> Series:
     """The grafting action of a on b, lifted to series of forests."""
     ext = extension if extension is not None else _DEFAULT_EXTENSION
-    return _bilinear(a, b, ext.basis)
+    return bilinear(a, b, ext.basis)
+
 
 
 def bracket(a: Series, b: Series) -> Series:
@@ -169,7 +153,7 @@ def dbracket(a: Series, b: Series, extension: GraftExtension | None = None) -> S
 def gl_product(a: Series, b: Series, extension: GraftExtension | None = None) -> Series:
     """Grossman-Larson product of series."""
     ext = extension if extension is not None else _DEFAULT_EXTENSION
-    return _bilinear(a, b, ext.gl_basis)
+    return bilinear(a, b, ext.gl_basis)
 
 
 def associator(a: Series, b: Series, c: Series, extension: GraftExtension | None = None) -> Series:

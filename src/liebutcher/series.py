@@ -28,6 +28,7 @@ from .trees import (
 __all__ = [
     "Series",
     "TruncationError",
+    "bilinear",
     "concat",
     "deshuffle",
     "deshuffle_forest",
@@ -199,38 +200,13 @@ def truncate(a: Series, n: int) -> Series:
     return a.truncated(n)
 
 
-def concat(a: Series, b: Series) -> Series:
-    """Bilinear extension of forest juxtaposition."""
-    trunc = min_trunc(a.trunc, b.trunc)
-    out: dict[Forest, Fraction] = {}
-    for fa, ca in a.terms.items():
-        for fb, cb in b.terms.items():
-            if trunc is not None and fa.degree + fb.degree > trunc:
-                continue
-            f = Forest(fa.trees + fb.trees)
-            out[f] = out.get(f, Fraction(0)) + ca * cb
-    return Series(out, trunc)
+def bilinear(a: Series, b: Series, basis) -> Series:
+    """Bilinear extension of a product given on basis forests.
 
-
-@lru_cache(maxsize=None)
-def _shuffle_words(u: tuple[Tree, ...], v: tuple[Tree, ...]) -> tuple[tuple[tuple[Tree, ...], int], ...]:
-    # ab sh cd = a(b sh cd) + c(ab sh d), unit the empty word
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    acc: dict[tuple[Tree, ...], int] = {}
-    for w, m in _shuffle_words(u[1:], v):
-        key = (u[0],) + w
-        acc[key] = acc.get(key, 0) + m
-    for w, m in _shuffle_words(u, v[1:]):
-        key = (v[0],) + w
-        acc[key] = acc.get(key, 0) + m
-    return tuple(acc.items())
-
-
-def shuffle(a: Series, b: Series) -> Series:
-    """Word shuffle of forests, each tree treated as one letter."""
+    basis(fa, fb) yields (forest, coefficient) pairs; pairs of terms whose
+    degrees sum past the common truncation are skipped, which is exact
+    because every product here is degree-additive.
+    """
     trunc = min_trunc(a.trunc, b.trunc)
     out: dict[Forest, Fraction] = {}
     for fa, ca in a.terms.items():
@@ -238,10 +214,40 @@ def shuffle(a: Series, b: Series) -> Series:
             if trunc is not None and fa.degree + fb.degree > trunc:
                 continue
             scale = ca * cb
-            for word, m in _shuffle_words(fa.trees, fb.trees):
-                f = Forest(word)
-                out[f] = out.get(f, Fraction(0)) + m * scale
+            for f, c in basis(fa, fb):
+                out[f] = out.get(f, Fraction(0)) + scale * c
     return Series(out, trunc)
+
+
+def _concat_basis(fa: Forest, fb: Forest):
+    return ((Forest(fa.trees + fb.trees), 1),)
+
+
+def concat(a: Series, b: Series) -> Series:
+    """Bilinear extension of forest juxtaposition."""
+    return bilinear(a, b, _concat_basis)
+
+
+@lru_cache(maxsize=None)
+def _shuffle_basis(u: Forest, v: Forest) -> tuple[tuple[Forest, int], ...]:
+    # ab sh cd = a(b sh cd) + c(ab sh d), unit the empty word
+    if not u.trees:
+        return ((v, 1),)
+    if not v.trees:
+        return ((u, 1),)
+    acc: dict[Forest, int] = {}
+    for w, m in _shuffle_basis(Forest(u.trees[1:]), v):
+        key = Forest(u.trees[:1] + w.trees)
+        acc[key] = acc.get(key, 0) + m
+    for w, m in _shuffle_basis(u, Forest(v.trees[1:])):
+        key = Forest(v.trees[:1] + w.trees)
+        acc[key] = acc.get(key, 0) + m
+    return tuple(acc.items())
+
+
+def shuffle(a: Series, b: Series) -> Series:
+    """Word shuffle of forests, each tree treated as one letter."""
+    return bilinear(a, b, _shuffle_basis)
 
 
 @lru_cache(maxsize=None)

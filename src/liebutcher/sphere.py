@@ -145,11 +145,17 @@ def _stepper(method):
         raise ValueError(f"unknown method {method!r}; choose from {sorted(STEPPERS)}") from None
 
 
+def _check_step(h: float) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size must be finite and positive, got {h!r}")
+
+
 def trajectory(
     field: AngularField, y0, h: float, steps: int, method="lie-euler"
 ) -> list[tuple[float, np.ndarray]]:
     """The points (i*h, y_i) for i = 0..steps."""
     step = _stepper(method)
+    _check_step(h)
     y = np.asarray(y0, dtype=float)
     out = [(0.0, y)]
     for i in range(1, steps + 1):
@@ -159,7 +165,13 @@ def trajectory(
 
 
 def integrate(field: AngularField, y0, h: float, steps: int, method="lie-euler") -> np.ndarray:
-    return trajectory(field, y0, h, steps, method)[-1][1]
+    """The last point of trajectory(...), stepped to without keeping the path."""
+    step = _stepper(method)
+    _check_step(h)
+    y = np.asarray(y0, dtype=float)
+    for _ in range(steps):
+        y = step(field, y, h)
+    return y
 
 
 def convergence_study(
@@ -174,6 +186,8 @@ def convergence_study(
     hs = [float(h) for h in h_list]
     if len(hs) < 3:
         raise ValueError("need at least 3 step sizes")
+    for h in hs:
+        _check_step(h)
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("step sizes must be strictly decreasing")
     for h in hs:

@@ -7,8 +7,15 @@ import random
 from fractions import Fraction
 
 from liebutcher.postlie import bracket
-from liebutcher.series import Series
-from liebutcher.trees import Forest, Tree, enumerate_trees, parse_forest
+from liebutcher.series import Series, shuffle
+from liebutcher.trees import (
+    EMPTY_FOREST,
+    Forest,
+    Tree,
+    enumerate_forests,
+    enumerate_trees,
+    parse_forest,
+)
 
 
 def F(text: str) -> Forest:
@@ -92,3 +99,44 @@ def random_lie_series(rng: random.Random, trunc: int) -> Series:
         if num:
             acc = acc + random_lie_monomial(rng, d) * Fraction(num, rng.randint(1, 4))
     return acc.truncated(trunc)
+
+
+def _bound(a: Series) -> int:
+    return a.trunc if a.trunc is not None else a.max_degree()
+
+
+def _eval_on(a: Series, s: Series) -> Fraction:
+    return sum((c * a.coeff(f) for f, c in s.terms.items()), Fraction(0))
+
+
+def brute_force_is_inf_character(a: Series) -> bool:
+    """Predicate oracle: evaluate a on every shuffle of non-empty forests.
+
+    Checked for all pairs with total degree up to the truncation (or the
+    support degree when the series is exact).
+    """
+    if a.coeff(EMPTY_FOREST) != 0:
+        return False
+    n = _bound(a)
+    for p in range(1, n):
+        for u in enumerate_forests(p):
+            su = Series.of(u)
+            for q in range(1, n - p + 1):
+                for v in enumerate_forests(q):
+                    if _eval_on(a, shuffle(su, Series.of(v))) != 0:
+                        return False
+    return True
+
+
+def brute_force_is_character(a: Series) -> bool:
+    """Predicate oracle: multiplicativity on the shuffle of every forest pair."""
+    n = _bound(a)
+    for p in range(0, n + 1):
+        for u in enumerate_forests(p):
+            au = a.coeff(u)
+            su = Series.of(u)
+            for q in range(0, n - p + 1):
+                for v in enumerate_forests(q):
+                    if _eval_on(a, shuffle(su, Series.of(v))) != au * a.coeff(v):
+                        return False
+    return True

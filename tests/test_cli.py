@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from liebutcher import sphere
 from liebutcher.cli import main
 
 
@@ -237,6 +238,52 @@ class TestIntegrateAndConverge:
         data = json.loads(out)
         assert 0.7 <= data["slope"] <= 1.3
         assert len(data["errors"]) == 3
+
+    def test_trajectory_fields_are_plain_floats(self, capsys, tmp_path):
+        path = tmp_path / "run.csv"
+        argv = ("integrate", "--method", "lie-midpoint", "--h", "0.1", "--steps", "3")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        code, _, _ = run(capsys, *argv, "--csv", str(path))
+        assert code == 0
+        with open(path) as fh:
+            csv_rows = list(csv.reader(fh))[1:]
+        text_rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        for rows in (text_rows, csv_rows):
+            assert len(rows) == 4
+            for row in rows:
+                assert len(row) == 5
+                for field in row:
+                    float(field)
+
+    def test_integrate_nan_step_is_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "integrate", "--method", "lie-euler", "--h", "nan",
+            "--steps", "10", "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert "step size" in err
+
+    def test_converge_zero_step_is_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "converge", "--method", "lie-euler", "--hs", "0.1,0.05,0"
+        )
+        assert code == 1
+        assert out == ""
+        assert "step size" in err
+
+    def test_json_output_refuses_nan(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            sphere, "convergence_study", lambda *args: {"slope": float("nan")}
+        )
+        code, out, err = run(
+            capsys, "converge", "--method", "lie-euler", "--hs", "0.1,0.05,0.025",
+            "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_converge_bad_steps(self, capsys):
         code, _, err = run(

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import S, random_lie_monomial, random_lie_series
+from helpers import (
+    S,
+    brute_force_is_character,
+    brute_force_is_inf_character,
+    random_lie_monomial,
+    random_lie_series,
+)
 from liebutcher.lbseries import (
     FieldSeries,
     MethodCharacter,
@@ -23,7 +29,7 @@ from liebutcher.lbseries import (
 )
 from liebutcher.postlie import bracket, gl_product
 from liebutcher.series import Series
-from liebutcher.trees import enumerate_trees
+from liebutcher.trees import EMPTY_FOREST, enumerate_forests, enumerate_trees
 
 UNIT = Series.unit()
 HALF = Fraction(1, 2)
@@ -84,6 +90,80 @@ class TestWrappers:
         with pytest.raises(ValueError):
             MethodCharacter(Series.unit(4) + Series.of("[[]]", 1, 4))
         MethodCharacter(Series.unit(4) + Series.of("[[]]", 1, 4), validate=False)
+
+
+def _assert_predicates_match_oracle(s):
+    assert is_inf_character(s) == brute_force_is_inf_character(s), s
+    assert is_character(s) == brute_force_is_character(s), s
+
+
+def _oracle_positives():
+    rng = random.Random(5)
+    fields = [random_lie_series(rng, 5) for _ in range(3)]
+    return (
+        [exp_concat(a, 5, validate=False).series for a in fields]
+        + [exp_gl(a, 5, validate=False).series for a in fields]
+        + fields
+        + [magnus_chi(field_generator(n), n, validate=False).series for n in (3, 5)]
+        + [lie_midpoint_field(n).series for n in (3, 5)]
+    )
+
+
+def _perturbed(s, rng):
+    """s with one coefficient moved by a nonzero rational, on the empty forest
+    or a forest of two or more trees, which no predicate can absorb."""
+    n = s.trunc
+    candidates = [EMPTY_FOREST] + [
+        f for d in range(2, n + 1) for f in enumerate_forests(d) if len(f) > 1
+    ]
+    f = rng.choice(candidates)
+    delta = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 5))
+    return s + Series.of(f, delta, n)
+
+
+class TestPredicatesAgainstOracle:
+    """The coproduct predicates agree with evaluation on every shuffle."""
+
+    def test_positives(self):
+        for s in _oracle_positives():
+            _assert_predicates_match_oracle(s)
+            assert is_inf_character(s) or is_character(s)
+
+    def test_perturbed_negatives(self):
+        rng = random.Random(17)
+        for s in _oracle_positives():
+            for _ in range(3):
+                p = _perturbed(s, rng)
+                _assert_predicates_match_oracle(p)
+                assert not is_inf_character(p) and not is_character(p)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            Series.zero(),
+            Series.zero(4),
+            2 * Series.unit(3),
+            Series(exp_concat(field_generator(4), 4, validate=False).series.terms),
+            bracket(S("[]"), S("[[]] []")),
+            S("[] []") + S("[[]]"),
+            Series.unit(0),
+            Series.zero(0),
+            2 * Series.unit(0),
+        ],
+        ids=[
+            "zero-exact",
+            "zero-trunc4",
+            "twice-unit",
+            "exact-exp",
+            "exact-bracket",
+            "exact-word",
+            "unit-trunc0",
+            "zero-trunc0",
+            "twice-unit-trunc0",
+        ],
+    )
+    def test_edges(self, s):
+        _assert_predicates_match_oracle(s)
 
 
 class TestExponentials:

@@ -123,10 +123,16 @@ class TestTrajectory:
             trajectory(FIELD, Y0, 0.1, 2, "rk4")
 
     def test_integrate_returns_last_point(self):
-        assert np.array_equal(
-            integrate(FIELD, Y0, 0.1, 5, "lie-midpoint"),
-            trajectory(FIELD, Y0, 0.1, 5, "lie-midpoint")[-1][1],
-        )
+        for method in ("lie-euler", "lie-midpoint"):
+            final = integrate(FIELD, Y0, 0.1, 5, method)
+            assert final.tobytes() == trajectory(FIELD, Y0, 0.1, 5, method)[-1][1].tobytes()
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_step(self, h):
+        with pytest.raises(ValueError, match="step size"):
+            trajectory(FIELD, Y0, h, 2)
+        with pytest.raises(ValueError, match="step size"):
+            integrate(FIELD, Y0, h, 2)
 
 
 class TestUnitVector:
@@ -168,6 +174,8 @@ class TestConvergence:
             convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.05, 0.1, 0.2])
         with pytest.raises(ValueError):
             convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.1, 0.05, 0.03])
+        with pytest.raises(ValueError, match="step size"):
+            convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.1, 0.05, 0.0])
 
     def test_report_keys(self):
         report = convergence_study(
