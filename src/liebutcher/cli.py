@@ -22,12 +22,10 @@ from .series import Series, TruncationError, concat, shuffle
 from .trees import (
     DEFAULT_DEGREE_CAP,
     DegreeCapError,
-    Forest,
     ForestParseError,
     enumerate_forests,
     enumerate_trees,
     parse_forest,
-    render_forest,
 )
 
 CAP_ENV_VAR = "LIEBUTCHER_DEGREE_CAP"
@@ -45,6 +43,8 @@ def _degree_cap() -> int:
 
 
 def _check_degree(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
     cap = _degree_cap()
     if n > cap:
         raise DegreeCapError(
@@ -66,7 +66,7 @@ def _emit_series(s: Series, fmt: str) -> None:
         print("0")
         return
     for f in s.support():
-        print(f"{s.terms[f]}\t{render_forest(f)}")
+        print(f"{s.terms[f]}\t{f.text}")
 
 
 def _load_operand(text: str, degree: int | None) -> Series:
@@ -82,21 +82,17 @@ def _load_operand(text: str, degree: int | None) -> Series:
     return Series.of(forest, 1, degree)
 
 
-def _cmd_graft(args) -> int:
-    if args.degree is not None:
-        _check_degree(args.degree)
-    a = _load_operand(args.left, args.degree)
-    b = _load_operand(args.right, args.degree)
-    _emit_series(postlie.triangleright(a, b), args.format)
-    return 0
-
-
 def _cmd_product(args) -> int:
     if args.degree is not None:
         _check_degree(args.degree)
     a = _load_operand(args.left, args.degree)
     b = _load_operand(args.right, args.degree)
-    op = {"concat": concat, "shuffle": shuffle, "gl": postlie.gl_product}[args.kind]
+    op = {
+        "graft": postlie.triangleright,
+        "concat": concat,
+        "shuffle": shuffle,
+        "gl": postlie.gl_product,
+    }[args.kind]
     _emit_series(op(a, b), args.format)
     return 0
 
@@ -134,7 +130,7 @@ def _cmd_order(args) -> int:
         "first_defect": None
         if defect is None
         else {
-            "forest": render_forest(defect.forest),
+            "forest": defect.forest.text,
             "lhs": str(defect.lhs),
             "rhs": str(defect.rhs),
         },
@@ -146,7 +142,7 @@ def _cmd_order(args) -> int:
     else:
         print(
             f"order {order}: first defect at degree {defect.degree} on "
-            f"{render_forest(defect.forest)} ({defect.lhs} vs {defect.rhs})"
+            f"{defect.forest.text} ({defect.lhs} vs {defect.rhs})"
         )
     return 0
 
@@ -154,9 +150,9 @@ def _cmd_order(args) -> int:
 def _cmd_enumerate(args) -> int:
     cap = _degree_cap()
     if args.what == "trees":
-        items = [render_forest(Forest((t,))) for t in enumerate_trees(args.degree, cap)]
+        items = [t.text for t in enumerate_trees(args.degree, cap)]
     else:
-        items = [render_forest(f) for f in enumerate_forests(args.degree, cap)]
+        items = [f.text for f in enumerate_forests(args.degree, cap)]
     if args.format == "json":
         body = {"what": args.what, "degree": args.degree, "count": len(items)}
         if not args.count_only:
@@ -280,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--degree", type=int, default=None)
     add_format(p)
-    p.set_defaults(fn=_cmd_graft)
+    p.set_defaults(fn=_cmd_product, kind="graft")
 
     p = sub.add_parser("product", help="concat, shuffle or Grossman-Larson product")
     p.add_argument("--kind", choices=("concat", "shuffle", "gl"), required=True)

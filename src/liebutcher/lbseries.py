@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .postlie import gl_product, triangleright
 from .series import Series, concat, deshuffle
-from .trees import EMPTY_FOREST, LEAF, enumerate_forests
+from .trees import EMPTY_FOREST, LEAF, forest_sort_key
 
 __all__ = [
     "Defect",
@@ -82,7 +82,21 @@ def is_character(a: Series) -> bool:
     return deshuffle(a) == square
 
 
-class FieldSeries:
+class _Checked:
+    """A series that passed its class's constructor check."""
+
+    @property
+    def trunc(self) -> int | None:
+        return self.series.trunc
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.series == other.series
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.series!r})"
+
+
+class FieldSeries(_Checked):
     """A vector-field series: zero constant term, vanishing on shuffles."""
 
     def __init__(self, series: Series, validate: bool = True):
@@ -92,18 +106,8 @@ class FieldSeries:
             raise ValueError("series does not vanish on shuffles")
         self.series = series
 
-    @property
-    def trunc(self) -> int | None:
-        return self.series.trunc
 
-    def __eq__(self, other):
-        return isinstance(other, FieldSeries) and self.series == other.series
-
-    def __repr__(self):
-        return f"FieldSeries({self.series!r})"
-
-
-class MethodCharacter:
+class MethodCharacter(_Checked):
     """A flow series: constant term 1, multiplicative on shuffles."""
 
     def __init__(self, series: Series, validate: bool = True):
@@ -113,19 +117,9 @@ class MethodCharacter:
             raise ValueError("series is not multiplicative on shuffles")
         self.series = series
 
-    @property
-    def trunc(self) -> int | None:
-        return self.series.trunc
-
-    def __eq__(self, other):
-        return isinstance(other, MethodCharacter) and self.series == other.series
-
-    def __repr__(self):
-        return f"MethodCharacter({self.series!r})"
-
 
 def _as_series(a) -> Series:
-    if isinstance(a, (FieldSeries, MethodCharacter)):
+    if isinstance(a, _Checked):
         return a.series
     return a
 
@@ -215,12 +209,8 @@ def first_defect(a, b) -> Defect | None:
     sa, sb = _as_series(a), _as_series(b)
     if sa.trunc is None or sa.trunc != sb.trunc:
         raise ValueError("series must share a finite truncation degree")
-    for d in range(0, sa.trunc + 1):
-        for f in enumerate_forests(d):
-            ca, cb = sa.coeff(f), sb.coeff(f)
-            if ca != cb:
-                return Defect(d, f, ca, cb)
-    return None
+    f = min((sa - sb).terms, key=forest_sort_key, default=None)
+    return None if f is None else Defect(f.degree, f, sa.coeff(f), sb.coeff(f))
 
 
 def order_of_agreement(a, b) -> int:

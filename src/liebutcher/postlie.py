@@ -14,6 +14,8 @@ product is assembled from the deshuffle coproduct,
 
 which restricts to a.b + a |> b on single trees and is associative with
 unit I.  Everything here is exact and degree-additive.
+
+Every memo here is a functools.lru_cache keyed on interned forests.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .series import Series, bilinear, concat, deshuffle_forest
-from .trees import Forest, Tree, enumerate_trees, render_forest, tree_sort_key
+from .trees import Forest, Tree, enumerate_trees, tree_sort_key
 
 __all__ = [
     "AxiomReport",
@@ -65,20 +67,16 @@ class GraftExtension:
 
     The attachments argument exists so tests can substitute a corrupted
     tree product; the module default drives triangleright and gl_product.
-    Per-instance caches are plain dicts, safe under the GIL.
+    basis and gl_basis are per-instance lru_caches over _basis and _gl_basis.
     """
 
     def __init__(self, attachments=graft_attachments):
         self._attach = attachments
-        self._cache: dict[tuple[Forest, Forest], tuple] = {}
-        self._gl_cache: dict[tuple[Forest, Forest], tuple] = {}
+        self.basis = lru_cache(maxsize=None)(self._basis)
+        self.gl_basis = lru_cache(maxsize=None)(self._gl_basis)
 
-    def basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, Fraction], ...]:
+    def _basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, Fraction], ...]:
         """w |> v for basis forests, as (forest, coefficient) pairs."""
-        key = (w, v)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         acc: dict[Forest, Fraction] = {}
         if not w.trees:
             acc[v] = Fraction(1)
@@ -106,24 +104,16 @@ class GraftExtension:
             for f, c in self.basis(w, Forest((tail,))):
                 g = Forest(head.trees + f.trees)
                 acc[g] = acc.get(g, Fraction(0)) + c
-        pairs = tuple((f, c) for f, c in acc.items() if c != 0)
-        self._cache[key] = pairs
-        return pairs
+        return tuple((f, c) for f, c in acc.items() if c != 0)
 
-    def gl_basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, Fraction], ...]:
+    def _gl_basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, Fraction], ...]:
         """w * v for basis forests via the deshuffle coproduct."""
-        key = (w, v)
-        cached = self._gl_cache.get(key)
-        if cached is not None:
-            return cached
         acc: dict[Forest, Fraction] = {}
         for (left, right), mult in deshuffle_forest(w):
             for f, c in self.basis(right, v):
                 g = Forest(left.trees + f.trees)
                 acc[g] = acc.get(g, Fraction(0)) + mult * c
-        pairs = tuple((f, c) for f, c in acc.items() if c != 0)
-        self._gl_cache[key] = pairs
-        return pairs
+        return tuple((f, c) for f, c in acc.items() if c != 0)
 
 
 _DEFAULT_EXTENSION = GraftExtension()
@@ -133,7 +123,6 @@ def triangleright(a: Series, b: Series, extension: GraftExtension | None = None)
     """The grafting action of a on b, lifted to series of forests."""
     ext = extension if extension is not None else _DEFAULT_EXTENSION
     return bilinear(a, b, ext.basis)
-
 
 
 def bracket(a: Series, b: Series) -> Series:
@@ -173,9 +162,9 @@ class AxiomReport:
 def _witness(name: str, x: Tree, y: Tree, z: Tree, lhs: Series, rhs: Series) -> dict:
     return {
         "axiom": name,
-        "x": render_forest(Forest((x,))),
-        "y": render_forest(Forest((y,))),
-        "z": render_forest(Forest((z,))),
+        "x": x.text,
+        "y": y.text,
+        "z": z.text,
         "lhs": lhs.to_json()["terms"],
         "rhs": rhs.to_json()["terms"],
     }
@@ -222,7 +211,7 @@ def check_postlie_axioms(max_degree: int, extension: GraftExtension | None = Non
 
 def _symmetrize_tree(t: Tree) -> Tree:
     kids = sorted((_symmetrize_tree(c) for c in t.children), key=tree_sort_key)
-    return Tree(tuple(kids))
+    return Tree(kids)
 
 
 def forget_planarity(a: Series) -> Series:
@@ -235,7 +224,7 @@ def forget_planarity(a: Series) -> Series:
     acc: dict[Forest, Fraction] = {}
     for f, c in a.terms.items():
         ts = sorted((_symmetrize_tree(t) for t in f.trees), key=tree_sort_key)
-        g = Forest(tuple(ts))
+        g = Forest(ts)
         acc[g] = acc.get(g, Fraction(0)) + c
     return Series(acc, a.trunc)
 

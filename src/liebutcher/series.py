@@ -22,7 +22,6 @@ from .trees import (
     Tree,
     forest_sort_key,
     parse_forest,
-    render_forest,
 )
 
 __all__ = [
@@ -169,7 +168,7 @@ class Series:
         if not self.terms:
             body = "0"
         else:
-            body = " + ".join(f"{self.terms[f]}*{render_forest(f)}" for f in self.support())
+            body = " + ".join(f"{self.terms[f]}*{f.text}" for f in self.support())
         suffix = "" if self.trunc is None else f" (trunc {self.trunc})"
         return f"<Series {body}{suffix}>"
 
@@ -178,18 +177,31 @@ class Series:
         return {
             "trunc": self.trunc,
             "terms": [
-                {"forest": render_forest(f), "coeff": str(self.terms[f])}
+                {"forest": f.text, "coeff": str(self.terms[f])}
                 for f in self.support()
             ],
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Series":
+    def from_json(cls, data) -> "Series":
+        """Inverse of to_json; ValueError on anything outside that schema."""
+        items = data.get("terms", []) if isinstance(data, dict) else None
+        if not isinstance(items, list) or not all(
+            isinstance(t, dict) and all(isinstance(t.get(k), str) for k in ("forest", "coeff"))
+            for t in items
+        ):
+            raise ValueError('a series is {"trunc": ..., "terms": [{"forest": str, "coeff": str}]}')
+        trunc = data.get("trunc")
+        if trunc is not None and (type(trunc) is not int or trunc < 0):
+            raise ValueError(f'"trunc" must be null or an integer >= 0, got {trunc!r}')
         terms: dict[Forest, Fraction] = {}
-        for item in data.get("terms", []):
+        for item in items:
             f = parse_forest(item["forest"])
-            terms[f] = terms.get(f, Fraction(0)) + Fraction(item["coeff"])
-        return cls(terms, data.get("trunc"))
+            try:
+                terms[f] = terms.get(f, Fraction(0)) + Fraction(item["coeff"])
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"coeff {item['coeff']!r} is not a rational") from None
+        return cls(terms, trunc)
 
 
 def pairing(a: Series, forest) -> Fraction:

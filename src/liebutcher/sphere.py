@@ -190,6 +190,8 @@ def convergence_study(
         _check_step(h)
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("step sizes must be strictly decreasing")
+    if refine < 1:
+        raise ValueError(f"refine must be >= 1, got {refine!r}")
     for h in hs:
         if abs(T / h - round(T / h)) > 1e-9:
             raise ValueError(f"step {h!r} does not divide the horizon {T!r}")

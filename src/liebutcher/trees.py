@@ -8,12 +8,12 @@ different trees.
 
 The canonical order used for enumeration and printing is graded by degree
 (number of nodes), ties broken lexicographically on the rendered string
-with '[' < ']' < ' '.
+with '[' < ']' < ' '.  Trees and forests are interned (hash-consed): == and
+hash are identity, and the enumeration memo is a functools.lru_cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 __all__ = [
@@ -23,19 +23,22 @@ __all__ = [
     "Forest",
     "ForestParseError",
     "LEAF",
+    "MAX_DEPTH",
     "Tree",
     "enumerate_forests",
     "enumerate_trees",
     "forest_sort_key",
     "parse_forest",
     "render_forest",
-    "render_tree",
     "tree_sort_key",
 ]
 
 # Enumeration refuses degrees above this unless the caller raises the cap;
 # counts grow like Catalan numbers, so unbounded requests are a footgun.
 DEFAULT_DEGREE_CAP = 8
+
+# parse_forest recurses per level and a depth-d chain stores O(d^2) text
+MAX_DEPTH = 256
 
 
 class ForestParseError(ValueError):
@@ -50,31 +53,54 @@ class DegreeCapError(ValueError):
     """An enumeration request exceeded the configured degree cap."""
 
 
-@dataclass(frozen=True)
-class Tree:
-    """A planar rooted tree; the empty child tuple is a single node."""
+class _Interned:
+    """One instance per component tuple (first slot), kept with its degree and
+    text in a per-class table; __reduce__ routes copy and pickle through it."""
 
-    children: tuple["Tree", ...] = ()
-    degree: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        object.__setattr__(self, "degree", 1 + sum(c.degree for c in self.children))
+    def __new__(cls, parts=()):
+        parts = tuple(parts)
+        node = cls._table.get(parts)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, (parts, *cls._derive(parts))):
+                object.__setattr__(node, name, value)
+            node = cls._table.setdefault(parts, node)
+        return node
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} values are interned and immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (getattr(self, self.__slots__[0]),)
 
     def __repr__(self) -> str:
-        return f"Tree({render_tree(self)!r})"
+        return f"{type(self).__name__}({self.text!r})"
 
 
-@dataclass(frozen=True)
-class Forest:
-    """An ordered (possibly empty) sequence of planar rooted trees."""
+class Tree(_Interned):
+    """A planar rooted tree; the empty child tuple is a single node."""
 
-    trees: tuple[Tree, ...] = ()
-    degree: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("children", "degree", "text")
+    _table: dict[tuple, Tree] = {}
 
-    def __post_init__(self):
-        object.__setattr__(self, "trees", tuple(self.trees))
-        object.__setattr__(self, "degree", sum(t.degree for t in self.trees))
+    @staticmethod
+    def _derive(children):
+        return 1 + sum(c.degree for c in children), f"[{' '.join(c.text for c in children)}]"
+
+
+class Forest(_Interned):
+    """An ordered (possibly empty) sequence of planar rooted trees; "1" when empty."""
+
+    __slots__ = ("trees", "degree", "text")
+    _table: dict[tuple, Forest] = {}
+
+    @staticmethod
+    def _derive(trees):
+        return sum(t.degree for t in trees), " ".join(t.text for t in trees) or "1"
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -82,24 +108,14 @@ class Forest:
     def __iter__(self):
         return iter(self.trees)
 
-    def __repr__(self) -> str:
-        return f"Forest({render_forest(self)!r})"
-
 
 LEAF = Tree()
 EMPTY_FOREST = Forest()
 
 
-@lru_cache(maxsize=None)
-def render_tree(t: Tree) -> str:
-    return "[" + " ".join(render_tree(c) for c in t.children) + "]"
-
-
 def render_forest(f: Forest) -> str:
     """Canonical text form: single spaces between siblings, "1" when empty."""
-    if not f.trees:
-        return "1"
-    return " ".join(render_tree(t) for t in f.trees)
+    return f.text
 
 
 def _skip_ws(text: str, i: int) -> int:
@@ -108,8 +124,10 @@ def _skip_ws(text: str, i: int) -> int:
     return i
 
 
-def _parse_tree(text: str, i: int) -> tuple[Tree, int]:
+def _parse_tree(text: str, i: int, depth: int) -> tuple[Tree, int]:
     # caller guarantees text[i] == "["
+    if depth > MAX_DEPTH:
+        raise ForestParseError(f"trees nested deeper than {MAX_DEPTH} levels", i)
     start = i
     i += 1
     children = []
@@ -119,9 +137,9 @@ def _parse_tree(text: str, i: int) -> tuple[Tree, int]:
             raise ForestParseError("unbalanced brackets: unclosed '['", start)
         ch = text[i]
         if ch == "]":
-            return Tree(tuple(children)), i + 1
+            return Tree(children), i + 1
         if ch == "[":
-            child, i = _parse_tree(text, i)
+            child, i = _parse_tree(text, i, depth + 1)
             children.append(child)
         else:
             raise ForestParseError(f"stray character {ch!r}", i)
@@ -145,23 +163,21 @@ def parse_forest(text: str) -> Forest:
     while i < len(text):
         if text[i] != "[":
             raise ForestParseError(f"stray character {text[i]!r}", i)
-        t, i = _parse_tree(text, i)
+        t, i = _parse_tree(text, i, 1)
         trees.append(t)
         i = _skip_ws(text, i)
-    return Forest(tuple(trees))
+    return Forest(trees)
 
 
-_CHAR_RANK = {"[": 0, "]": 1, " ": 2}
+_RANK = str.maketrans("[] ", "012")
 
 
-def tree_sort_key(t: Tree) -> tuple[int, tuple[int, ...]]:
-    return (t.degree, tuple(_CHAR_RANK[c] for c in render_tree(t)))
+def forest_sort_key(f: Forest | Tree) -> tuple[int, str]:
+    """Canonical order: by degree, then by text with '[' < ']' < ' '."""
+    return (f.degree, f.text.translate(_RANK))
 
 
-def forest_sort_key(f: Forest) -> tuple[int, tuple[int, ...]]:
-    if not f.trees:
-        return (0, ())
-    return (f.degree, tuple(_CHAR_RANK[c] for c in render_forest(f)))
+tree_sort_key = forest_sort_key
 
 
 def _check_cap(n: int, cap: int | None) -> None:
@@ -173,21 +189,16 @@ def _check_cap(n: int, cap: int | None) -> None:
 
 
 @lru_cache(maxsize=None)
-def _trees_raw(n: int) -> tuple[Tree, ...]:
-    # a degree-n tree is a root over a forest of total degree n-1
-    return tuple(Tree(f.trees) for f in _forests_raw(n - 1))
-
-
-@lru_cache(maxsize=None)
 def _forests_raw(n: int) -> tuple[Forest, ...]:
+    # a degree-k tree is a root over a forest of total degree k-1
     if n == 0:
         return (EMPTY_FOREST,)
-    out = []
-    for k in range(1, n + 1):
-        for t in _trees_raw(k):
-            for rest in _forests_raw(n - k):
-                out.append(Forest((t,) + rest.trees))
-    return tuple(out)
+    return tuple(
+        Forest((Tree(f.trees),) + rest.trees)
+        for k in range(1, n + 1)
+        for f in _forests_raw(k - 1)
+        for rest in _forests_raw(n - k)
+    )
 
 
 def enumerate_trees(n: int, cap: int | None = None) -> list[Tree]:
@@ -195,7 +206,7 @@ def enumerate_trees(n: int, cap: int | None = None) -> list[Tree]:
     if n < 1:
         raise ValueError("there is no tree of degree < 1")
     _check_cap(n, cap)
-    return sorted(_trees_raw(n), key=tree_sort_key)
+    return sorted((Tree(f.trees) for f in _forests_raw(n - 1)), key=tree_sort_key)
 
 
 def enumerate_forests(n: int, cap: int | None = None) -> list[Forest]:

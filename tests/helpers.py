@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from liebutcher.lbseries import Defect
 from liebutcher.postlie import bracket
 from liebutcher.series import Series, shuffle
 from liebutcher.trees import (
@@ -15,6 +16,7 @@ from liebutcher.trees import (
     enumerate_forests,
     enumerate_trees,
     parse_forest,
+    render_forest,
 )
 
 
@@ -140,3 +142,23 @@ def brute_force_is_character(a: Series) -> bool:
                     if _eval_on(a, shuffle(su, Series.of(v))) != au * a.coeff(v):
                         return False
     return True
+
+
+_CHAR_RANK = {"[": 0, "]": 1, " ": 2}
+
+
+def char_rank_sort_key(f: Forest) -> tuple[int, tuple[int, ...]]:
+    """Sort-key oracle: degree, then a rank tuple walked over the rendered text."""
+    if not f.trees:
+        return (0, ())
+    return (f.degree, tuple(_CHAR_RANK[c] for c in render_forest(f)))
+
+
+def enumeration_first_defect(a: Series, b: Series) -> Defect | None:
+    """First-defect oracle: compare every forest up to the truncation, in order."""
+    for d in range(0, a.trunc + 1):
+        for f in sorted(enumerate_forests(d, cap=a.trunc), key=char_rank_sort_key):
+            ca, cb = a.coeff(f), b.coeff(f)
+            if ca != cb:
+                return Defect(d, f, ca, cb)
+    return None

@@ -5,6 +5,7 @@ import pytest
 
 from liebutcher import sphere
 from liebutcher.cli import main
+from liebutcher.trees import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -42,6 +43,22 @@ class TestGraft:
         code, out, _ = run(capsys, "graft", "[] []", "[]")
         assert code == 0
         assert out.strip() == "1\t[[] []]"
+
+    def test_deepest_allowed_nesting(self, capsys):
+        deep = "[" * MAX_DEPTH + "]" * MAX_DEPTH
+        code, out, err = run(capsys, "graft", "[]", deep, "--format", "json")
+        assert code == 0 and err == ""
+        terms = json.loads(out)["terms"]
+        assert len(terms) == MAX_DEPTH
+        assert all(t["forest"].count("[") == MAX_DEPTH + 1 for t in terms)
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
+    def test_too_deep_nesting_is_rejected(self, capsys, depth):
+        deep = "[" * depth + "]" * depth
+        code, out, err = run(capsys, "graft", deep, "[]")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "nested deeper" in err
 
 
 class TestProduct:
@@ -83,6 +100,34 @@ class TestProduct:
         assert data["trunc"] == 3
         assert {"forest": "[[]] []", "coeff": "-1/2"} in data["terms"]
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("[1]", "a series is"),
+            ('"terms"', "a series is"),
+            ('{"terms": {"forest": "[]", "coeff": "1"}}', "a series is"),
+            ('{"terms": [[]]}', "a series is"),
+            ('{"terms": [{"coeff": "1"}]}', "a series is"),
+            ('{"terms": [{"forest": "[]"}]}', "a series is"),
+            ('{"terms": [{"forest": 1, "coeff": "1"}]}', "a series is"),
+            ('{"terms": [{"forest": "[]", "coeff": 1}]}', "a series is"),
+            ('{"terms": [{"forest": "[]", "coeff": "1/0"}]}', "not a rational"),
+            ('{"terms": [{"forest": "[]", "coeff": "x"}]}', "not a rational"),
+            ('{"terms": [{"forest": "[]", "coeff": "nan"}]}', "not a rational"),
+            ('{"trunc": "x", "terms": []}', '"trunc"'),
+            ('{"trunc": -1, "terms": []}', '"trunc"'),
+            ('{"trunc": 2.0, "terms": []}', '"trunc"'),
+            ('{"trunc": true, "terms": []}', '"trunc"'),
+        ],
+    )
+    def test_malformed_series_file(self, capsys, tmp_path, body, message):
+        path = tmp_path / "series.json"
+        path.write_text(body)
+        code, out, err = run(capsys, "graft", str(path), "[]")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
 
 class TestExpAndMagnus:
     def test_exp_concat_default_input(self, capsys):
@@ -110,6 +155,24 @@ class TestExpAndMagnus:
         _, first, _ = run(capsys, "magnus", "--degree", "4", "--format", "json")
         _, second, _ = run(capsys, "magnus", "--degree", "4", "--format", "json")
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exp", "--kind", "concat"),
+        ("exp", "--kind", "gl"),
+        ("magnus",),
+        ("order", "--method", "lie-euler"),
+        ("graft", "[]", "[]"),
+        ("product", "--kind", "gl", "[]", "[]"),
+    ],
+)
+def test_negative_degree_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv, "--degree", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "degree must be >= 0" in err
 
 
 class TestOrder:
@@ -284,6 +347,15 @@ class TestIntegrateAndConverge:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_converge_zero_refine_is_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "converge", "--method", "lie-euler", "--hs", "0.1,0.05,0.025",
+            "--refine", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "refine" in err
 
     def test_converge_bad_steps(self, capsys):
         code, _, err = run(

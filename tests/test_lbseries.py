@@ -7,6 +7,7 @@ from helpers import (
     S,
     brute_force_is_character,
     brute_force_is_inf_character,
+    enumeration_first_defect,
     random_lie_monomial,
     random_lie_series,
 )
@@ -318,6 +319,24 @@ class TestOrders:
         defect = first_defect(mid, exact)
         assert defect.degree == 3
         assert defect.lhs != defect.rhs
+
+    def test_first_defect_matches_enumeration(self):
+        rng = random.Random(23)
+        pairs = [
+            (method(n).series, exact_flow_character(n).series)
+            for n in (0, 1, 3, 5)
+            for method in (lie_euler_character, lie_midpoint_character)
+        ]
+        pairs += [(s, _perturbed(s, rng)) for s in _oracle_positives()]
+        pairs += [(_perturbed(s, rng), s) for s in _oracle_positives()]
+        pairs += [(s, s) for s in _oracle_positives()]
+        for a, b in pairs:
+            assert first_defect(a, b) == enumeration_first_defect(a, b)
+
+    def test_agreement_above_the_enumeration_cap(self):
+        a = exp_concat(field_generator(9), 9, validate=False)
+        assert order_of_agreement(a, a) == 9
+        assert first_defect(a, a) is None
 
     def test_mismatched_trunc_rejected(self):
         with pytest.raises(ValueError):

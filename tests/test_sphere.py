@@ -177,6 +177,11 @@ class TestConvergence:
         with pytest.raises(ValueError, match="step size"):
             convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.1, 0.05, 0.0])
 
+    @pytest.mark.parametrize("refine", [0, -4])
+    def test_rejects_refine_below_one(self, refine):
+        with pytest.raises(ValueError, match="refine"):
+            convergence_study(FIELD, Y0, 0.5, "lie-euler", [0.1, 0.05, 0.025], refine=refine)
+
     def test_report_keys(self):
         report = convergence_study(
             FIELD, Y0, 0.5, "lie-euler", [1 / 10, 1 / 20, 1 / 40], refine=8

@@ -1,13 +1,17 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import F, T, brute_force_forests, brute_force_trees
+from helpers import F, T, brute_force_forests, brute_force_trees, char_rank_sort_key
 from liebutcher.trees import (
     DegreeCapError,
     EMPTY_FOREST,
     Forest,
     ForestParseError,
     LEAF,
+    MAX_DEPTH,
     Tree,
     enumerate_forests,
     enumerate_trees,
@@ -63,6 +67,13 @@ class TestParsing:
         with pytest.raises(ForestParseError) as err:
             parse_forest(text)
         assert err.value.offset == offset
+
+    def test_depth_limit(self):
+        deepest = parse_forest("[" * MAX_DEPTH + "]" * MAX_DEPTH)
+        assert deepest.degree == MAX_DEPTH
+        with pytest.raises(ForestParseError, match="nested deeper") as err:
+            parse_forest("[] " + "[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1))
+        assert err.value.offset == 3 + MAX_DEPTH
 
 
 class TestRendering:
@@ -141,6 +152,48 @@ class TestEnumeration:
         keys = [tree_sort_key(t) for n in range(1, 5) for t in enumerate_trees(n)]
         assert keys == sorted(keys)
 
+    def test_char_rank_key_gives_the_same_order(self):
+        for n in range(0, 8):
+            forests = enumerate_forests(n)
+            assert sorted(forests, key=char_rank_sort_key) == forests
+            trees = [Forest((t,)) for t in enumerate_trees(n + 1)]
+            assert sorted(trees, key=char_rank_sort_key) == trees
+
+
+class TestInterning:
+    def test_equal_values_are_one_object(self):
+        assert Tree() is LEAF and Forest() is EMPTY_FOREST
+        assert Tree([LEAF, LEAF]) is T("[[] []]")
+        assert Forest((T("[[]]"), LEAF)) is F("[[]] []")
+        assert Tree(F("[] [[]]").trees) is T("[[] [[]]]")
+
+    def test_identity_equality_and_hash(self):
+        for cls in (Tree, Forest):
+            assert cls.__eq__ is object.__eq__
+            assert cls.__hash__ is object.__hash__
+
+    def test_derived_fields(self):
+        t = T("[[] [[]]]")
+        assert (t.degree, t.text) == (4, "[[] [[]]]")
+        assert (EMPTY_FOREST.degree, EMPTY_FOREST.text) == (0, "1")
+        assert repr(F("[[]] []")) == "Forest('[[]] []')"
+
+    def test_assignment_and_deletion_raise(self):
+        for value, name in ((LEAF, "children"), (LEAF, "degree"), (EMPTY_FOREST, "trees"),
+                            (EMPTY_FOREST, "text"), (LEAF, "other")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, (LEAF,))
+        with pytest.raises(AttributeError):
+            del LEAF.degree
+        assert LEAF.children == () and LEAF.degree == 1 and LEAF.text == "[]"
+
+    def test_deepcopy_leaves_leaf_intact(self):
+        big = T("[[[] []] [] [[[]]]]")
+        assert copy.deepcopy(big) is big
+        assert copy.deepcopy(F("[[]] [] []")) is F("[[]] [] []")
+        assert LEAF.children == () and LEAF.degree == 1 and LEAF.text == "[]"
+        assert Tree() is LEAF
+
 
 tree_strategy = st.recursive(
     st.just(LEAF),
@@ -158,3 +211,19 @@ def test_parse_render_roundtrip(f):
 @given(forest_strategy)
 def test_degree_is_node_count(f):
     assert f.degree == render_forest(f).count("[")
+
+
+@given(forest_strategy, forest_strategy)
+def test_sort_key_agrees_with_char_rank_key(f, g):
+    assert (forest_sort_key(f) < forest_sort_key(g)) == (char_rank_sort_key(f) < char_rank_sort_key(g))
+
+
+@given(forest_strategy)
+def test_round_trips_return_the_interned_object(f):
+    assert parse_forest(render_forest(f)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    for t in f.trees:
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
