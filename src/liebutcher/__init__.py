@@ -6,7 +6,13 @@ exponentials are the frozen-field Euler flow and the exact flow, and the
 Magnus-type map chi translates between them.  Concrete realizations on
 matrix splittings and on the unit sphere turn the symbolic calculus into
 checkable numerics.
+
+Only the numeric realizations need numpy.  They load on first use: the
+names below resolve through a module __getattr__, so `import liebutcher`
+and the symbolic layers never import numpy.
 """
+
+import importlib
 
 from .lbseries import (
     FieldSeries,
@@ -25,15 +31,6 @@ from .lbseries import (
     magnus_chi,
     order_of_agreement,
 )
-from .matrixpostlie import (
-    ProjectionKind,
-    check_matrix_postlie_axioms,
-    check_projection_identity,
-    eval_F,
-    mat_triangleright,
-    project_minus,
-    project_plus,
-)
 from .postlie import (
     bracket,
     check_postlie_axioms,
@@ -43,15 +40,6 @@ from .postlie import (
     triangleright,
 )
 from .series import Series, TruncationError, concat, deshuffle, pairing, shuffle, truncate
-from .sphere import (
-    convergence_order,
-    convergence_study,
-    hat,
-    rigid_body_field,
-    rot_exp,
-    step_lie_euler,
-    step_lie_midpoint,
-)
 from .trees import (
     DegreeCapError,
     Forest,
@@ -64,3 +52,26 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
+
+# Numeric re-exports, name -> submodule.  Each access reads the submodule's
+# attribute (no copy is bound here), so a patched attribute is seen.
+_NUMERIC = {
+    **dict.fromkeys(
+        ("ProjectionKind", "check_matrix_postlie_axioms", "check_projection_identity", "eval_F",
+         "mat_triangleright", "project_minus", "project_plus"),
+        "matrixpostlie",
+    ),
+    **dict.fromkeys(
+        ("convergence_order", "convergence_study", "hat", "rigid_body_field", "rot_exp",
+         "step_lie_euler", "step_lie_midpoint"),
+        "sphere",
+    ),
+}
+
+
+def __getattr__(name):
+    if name in ("matrixpostlie", "sphere"):
+        return importlib.import_module(f".{name}", __name__)
+    if name in _NUMERIC:
+        return getattr(importlib.import_module(f".{_NUMERIC[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -90,6 +90,15 @@ def mat_dbracket(kind, m, n) -> np.ndarray:
     )
 
 
+def _checked_kind(kind, samples: int, tol: float) -> ProjectionKind:
+    """_kind(kind), after checking samples >= 1 and a finite tol > 0."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return _kind(kind)
+
+
 def _samples(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
     return [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(count)]
 
@@ -103,7 +112,7 @@ def check_projection_identity(
     Residuals are scaled by 1 + max input magnitude; `projector` overrides
     pi_minus so tests can check that a corrupted projection fails.
     """
-    kindv = _kind(kind)
+    kindv = _checked_kind(kind, samples, tol)
     minus = projector if projector is not None else (lambda m: project_minus(kindv, m))
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -132,7 +141,7 @@ def check_matrix_postlie_axioms(
     """Residuals of the two defining identities plus the Jacobi identity of
     the derived bracket, on random triples.  `product` overrides |> so a
     wrong-sign product is seen to fail."""
-    kindv = _kind(kind)
+    kindv = _checked_kind(kind, samples, tol)
     tr = product if product is not None else (lambda a, b: mat_triangleright(kindv, a, b))
 
     def assoc(a, b, c):

@@ -20,7 +20,7 @@ Every memo here is a functools.lru_cache keyed on interned forests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -152,11 +152,7 @@ def associator(a: Series, b: Series, c: Series, extension: GraftExtension | None
     )
 
 
-@dataclass
-class AxiomReport:
-    passed: bool
-    triples: int
-    witness: dict | None = None
+AxiomReport = namedtuple("AxiomReport", ["passed", "triples", "witness"], defaults=[None])
 
 
 def _witness(name: str, x: Tree, y: Tree, z: Tree, lhs: Series, rhs: Series) -> dict:

@@ -33,7 +33,7 @@ __all__ = [
 AngularField = Callable[[np.ndarray], np.ndarray]
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ValueError):
     """Midpoint stage iteration failed; carries the last residual."""
 
     def __init__(self, message: str, residual: float):
@@ -145,9 +145,11 @@ def _stepper(method):
         raise ValueError(f"unknown method {method!r}; choose from {sorted(STEPPERS)}") from None
 
 
-def _check_step(h: float) -> None:
+def _check_step(h: float, steps: int = 0) -> None:
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be finite and positive, got {h!r}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps!r}")
 
 
 def trajectory(
@@ -155,7 +157,7 @@ def trajectory(
 ) -> list[tuple[float, np.ndarray]]:
     """The points (i*h, y_i) for i = 0..steps."""
     step = _stepper(method)
-    _check_step(h)
+    _check_step(h, steps)
     y = np.asarray(y0, dtype=float)
     out = [(0.0, y)]
     for i in range(1, steps + 1):
@@ -167,7 +169,7 @@ def trajectory(
 def integrate(field: AngularField, y0, h: float, steps: int, method="lie-euler") -> np.ndarray:
     """The last point of trajectory(...), stepped to without keeping the path."""
     step = _stepper(method)
-    _check_step(h)
+    _check_step(h, steps)
     y = np.asarray(y0, dtype=float)
     for _ in range(steps):
         y = step(field, y, h)
@@ -184,6 +186,8 @@ def convergence_study(
     no slope.
     """
     hs = [float(h) for h in h_list]
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and positive, got {T!r}")
     if len(hs) < 3:
         raise ValueError("need at least 3 step sizes")
     for h in hs:

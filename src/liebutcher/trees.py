@@ -55,7 +55,8 @@ class DegreeCapError(ValueError):
 
 class _Interned:
     """One instance per component tuple (first slot), kept with its degree and
-    text in a per-class table; __reduce__ routes copy and pickle through it."""
+    text in a per-class table; __reduce__ routes pickle through it, and copy and
+    deepcopy return the value itself, which also spares deep trees copy's recursion."""
 
     __slots__ = ()
 
@@ -76,6 +77,11 @@ class _Interned:
 
     def __reduce__(self):
         return type(self), (getattr(self, self.__slots__[0]),)
+
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.text!r})"

@@ -252,6 +252,25 @@ class TestAxioms:
         assert [r["check"] for r in reports] == ["projection-identity", "postlie-axioms"]
         assert all(r["pass"] for r in reports)
 
+    @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-2")])
+    def test_matrix_rejects_no_samples(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, "axioms", "--target", "matrix", "--kind", "lu", flag, value,
+            "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "samples" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-10"])
+    def test_matrix_rejects_bad_tolerance(self, capsys, value):
+        code, out, err = run(
+            capsys, "axioms", "--target", "matrix", "--kind", "qr", f"--tol={value}"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "tol" in err
+
     def test_matrix_requires_kind(self, capsys):
         code, _, err = run(capsys, "axioms", "--target", "matrix")
         assert code == 2
@@ -327,6 +346,33 @@ class TestIntegrateAndConverge:
         assert code == 1
         assert out == ""
         assert "step size" in err
+
+    def test_integrate_negative_steps_are_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "integrate", "--method", "lie-euler", "--h", "0.1", "--steps", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "steps" in err
+
+    def test_integrate_zero_steps_prints_the_initial_point(self, capsys):
+        code, out, err = run(
+            capsys, "integrate", "--method", "lie-euler", "--h", "0.1", "--steps", "0"
+        )
+        assert code == 0 and err == ""
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        assert [float(v) for v in lines[1].split(",")[1:4]] == [1.0 / 3.0 ** 0.5] * 3
+
+    @pytest.mark.parametrize("T", ["0", "-1", "nan", "inf"])
+    def test_converge_bad_horizon_is_rejected(self, capsys, T):
+        code, out, err = run(
+            capsys, "converge", "--method", "lie-euler", "--hs", "0.1,0.05,0.025",
+            "--T", T,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "horizon" in err
 
     def test_converge_zero_step_is_rejected(self, capsys):
         code, out, err = run(

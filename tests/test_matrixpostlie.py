@@ -131,6 +131,15 @@ class TestChecks:
         )
         assert not report["pass"]
 
+    @pytest.mark.parametrize("check", [check_projection_identity, check_matrix_postlie_axioms])
+    @pytest.mark.parametrize("samples, tol, match", [
+        (0, 1e-10, "samples"), (-3, 1e-10, "samples"), (10, 0.0, "tol"), (10, -1e-10, "tol"),
+        (10, float("nan"), "tol"), (10, float("inf"), "tol"),
+    ])
+    def test_rejects_bad_sampling(self, check, samples, tol, match):
+        with pytest.raises(ValueError, match=match):
+            check("lu", 3, samples=samples, tol=tol)
+
     def test_seed_reproducibility(self):
         a = check_projection_identity("qr", 3, samples=10, seed=77)
         b = check_projection_identity("qr", 3, samples=10, seed=77)

@@ -134,6 +134,14 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="step size"):
             integrate(FIELD, Y0, h, 2)
 
+    def test_rejects_negative_steps(self):
+        with pytest.raises(ValueError, match="steps"):
+            trajectory(FIELD, Y0, 0.1, -1)
+        with pytest.raises(ValueError, match="steps"):
+            integrate(FIELD, Y0, 0.1, -1)
+        assert [t for t, _ in trajectory(FIELD, Y0, 0.1, 0)] == [0.0]
+        assert integrate(FIELD, Y0, 0.1, 0).tolist() == list(Y0)
+
 
 class TestUnitVector:
     def test_accepts_unit(self):
@@ -181,6 +189,11 @@ class TestConvergence:
     def test_rejects_refine_below_one(self, refine):
         with pytest.raises(ValueError, match="refine"):
             convergence_study(FIELD, Y0, 0.5, "lie-euler", [0.1, 0.05, 0.025], refine=refine)
+
+    @pytest.mark.parametrize("T", [0.0, -0.5, math.nan, math.inf])
+    def test_rejects_bad_horizon(self, T):
+        with pytest.raises(ValueError, match="horizon"):
+            convergence_study(FIELD, Y0, T, "lie-euler", [0.1, 0.05, 0.025])
 
     def test_report_keys(self):
         report = convergence_study(

@@ -194,6 +194,13 @@ class TestInterning:
         assert LEAF.children == () and LEAF.degree == 1 and LEAF.text == "[]"
         assert Tree() is LEAF
 
+    def test_copies_of_the_deepest_forest_are_itself(self):
+        deepest = parse_forest("[" * MAX_DEPTH + "]" * MAX_DEPTH)
+        assert copy.deepcopy(deepest) is deepest
+        assert copy.deepcopy([deepest, deepest.trees[0]]) == [deepest, deepest.trees[0]]
+        assert copy.copy(deepest) is deepest
+        assert pickle.loads(pickle.dumps(deepest)) is deepest
+
 
 tree_strategy = st.recursive(
     st.just(LEAF),
