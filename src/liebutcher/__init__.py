@@ -62,8 +62,8 @@ _NUMERIC = {
         "matrixpostlie",
     ),
     **dict.fromkeys(
-        ("convergence_order", "convergence_study", "hat", "rigid_body_field", "rot_exp",
-         "step_lie_euler", "step_lie_midpoint"),
+        ("convergence_study", "hat", "rigid_body_field", "rot_exp", "step_lie_euler",
+         "step_lie_midpoint"),
         "sphere",
     ),
 }

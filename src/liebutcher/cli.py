@@ -148,6 +148,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _check_degree(args.degree)
     cap = _degree_cap()
     if args.what == "trees":
         items = [t.text for t in enumerate_trees(args.degree, cap)]
@@ -203,45 +204,45 @@ def _cmd_axioms(args) -> int:
     return 0 if all(r["pass"] for r in reports) else 1
 
 
-# problem name -> (sphere module -> (angular field, initial point))
-_PROBLEMS = {
-    "rigid-body": lambda sp: (sp.rigid_body_field((1.0, 2.0, 3.0)), [1.0 / math.sqrt(3.0)] * 3),
-}
+def _rigid_body():
+    """The sphere problem: (field, y0) of the free rigid body with inertia
+    (1, 2, 3), started at (1, 1, 1)/sqrt(3)."""
+    from . import sphere
+    return sphere.rigid_body_field((1.0, 2.0, 3.0)), [1.0 / math.sqrt(3.0)] * 3
 
 
 def _cmd_integrate(args) -> int:
     from . import sphere
-    field, y0 = _PROBLEMS[args.problem](sphere)
+    field, y0 = _rigid_body()
     points = sphere.trajectory(field, y0, args.h, args.steps, args.method)
-    rows = [(t, *y.tolist(), sphere.norm_defect(y)) for t, y in points]
+    rows = ([repr(v) for v in (t, *y.tolist(), sphere.norm_defect(y))] for t, y in points)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "y1", "y2", "y3", "norm_defect"])
-            writer.writerows([[repr(v) for v in row] for row in rows])
+            writer.writerows(rows)
     if args.format == "json":
-        final = rows[-1]
         _print_json(
             {
                 "method": args.method,
                 "h": args.h,
                 "steps": args.steps,
-                "final": list(final[1:4]),
-                "max_norm_defect": max(r[4] for r in rows),
+                "final": points[-1][1].tolist(),
+                "max_norm_defect": max(sphere.norm_defect(y) for _, y in points),
             }
         )
     elif not args.csv:
         print("t,y1,y2,y3,norm_defect")
         for row in rows:
-            print(",".join(repr(v) for v in row))
+            print(",".join(row))
     else:
-        print(f"wrote {len(rows)} rows to {args.csv}")
+        print(f"wrote {len(points)} rows to {args.csv}")
     return 0
 
 
 def _cmd_converge(args) -> int:
     from . import sphere
-    field, y0 = _PROBLEMS[args.problem](sphere)
+    field, y0 = _rigid_body()
     hs = [float(part) for part in args.hs.split(",") if part.strip()]
     report = sphere.convergence_study(field, y0, args.T, args.method, hs, args.refine)
     if args.format == "json":
@@ -317,21 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(fn=_cmd_axioms)
 
-    p = sub.add_parser("integrate", help="run an integrator on a sphere problem")
+    p = sub.add_parser("integrate", help="run an integrator on the rigid body")
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--problem", choices=sorted(_PROBLEMS), default="rigid-body")
     p.add_argument("--csv", default=None)
     add_format(p)
     p.set_defaults(fn=_cmd_integrate)
 
-    p = sub.add_parser("converge", help="measured convergence order on a problem")
+    p = sub.add_parser("converge", help="measured convergence order on the rigid body")
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--hs", required=True, help="comma-separated decreasing steps")
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--refine", type=int, default=64)
-    p.add_argument("--problem", choices=sorted(_PROBLEMS), default="rigid-body")
     add_format(p)
     p.set_defaults(fn=_cmd_converge)
 

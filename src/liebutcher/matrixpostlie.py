@@ -90,17 +90,38 @@ def mat_dbracket(kind, m, n) -> np.ndarray:
     )
 
 
-def _checked_kind(kind, samples: int, tol: float) -> ProjectionKind:
-    """_kind(kind), after checking samples >= 1 and a finite tol > 0."""
+def _sampled_check(check: str, kind, n: int, samples: int, tol: float, seed: int,
+                   draws: int, residuals) -> dict:
+    """The sampling harness behind the identity checks.
+
+    Each of `samples` rounds draws `draws` uniform [-1, 1] n x n matrices
+    from default_rng(seed) and scales the largest entry of every array
+    residuals(kind, *matrices) yields by 1 + the largest input magnitude;
+    the report carries the worst scaled residual.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    return _kind(kind)
-
-
-def _samples(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
-    return [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(count)]
+    kindv = _kind(kind)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(draws)]
+        scale = 1.0 + max(np.abs(m).max() for m in mats)
+        for r in residuals(kindv, *mats):
+            worst = max(worst, float(np.abs(r).max()) / scale)
+    return {
+        "check": check,
+        "kind": kindv.name,
+        "n": n,
+        "samples": samples,
+        "max_residual": worst,
+        "pass": bool(worst <= tol),
+        "seed": seed,
+    }
 
 
 def check_projection_identity(
@@ -112,26 +133,15 @@ def check_projection_identity(
     Residuals are scaled by 1 + max input magnitude; `projector` overrides
     pi_minus so tests can check that a corrupted projection fails.
     """
-    kindv = _checked_kind(kind, samples, tol)
-    minus = projector if projector is not None else (lambda m: project_minus(kindv, m))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        m, w = _samples(rng, n, 2)
-        scale = 1.0 + max(np.abs(m).max(), np.abs(w).max())
+
+    def residuals(kindv, m, w):
+        minus = projector if projector is not None else (lambda x: project_minus(kindv, x))
         for proj in (minus, lambda x: x - minus(x)):
             lhs = commutator(proj(m), proj(w)) + proj(commutator(m, w))
             rhs = proj(commutator(proj(m), w) + commutator(m, proj(w)))
-            worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
-    return {
-        "check": "projection-identity",
-        "kind": kindv.name,
-        "n": n,
-        "samples": samples,
-        "max_residual": worst,
-        "pass": bool(worst <= tol),
-        "seed": seed,
-    }
+            yield lhs - rhs
+
+    return _sampled_check("projection-identity", kind, n, samples, tol, seed, 2, residuals)
 
 
 def check_matrix_postlie_axioms(
@@ -141,34 +151,21 @@ def check_matrix_postlie_axioms(
     """Residuals of the two defining identities plus the Jacobi identity of
     the derived bracket, on random triples.  `product` overrides |> so a
     wrong-sign product is seen to fail."""
-    kindv = _checked_kind(kind, samples, tol)
-    tr = product if product is not None else (lambda a, b: mat_triangleright(kindv, a, b))
 
-    def assoc(a, b, c):
-        return tr(a, tr(b, c)) - tr(tr(a, b), c)
+    def residuals(kindv, x, y, z):
+        tr = product if product is not None else (lambda a, b: mat_triangleright(kindv, a, b))
 
-    def db(a, b):
-        return tr(a, b) - tr(b, a) + commutator(a, b)
+        def assoc(a, b, c):
+            return tr(a, tr(b, c)) - tr(tr(a, b), c)
 
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x, y, z = _samples(rng, n, 3)
-        scale = 1.0 + max(np.abs(x).max(), np.abs(y).max(), np.abs(z).max())
-        r1 = tr(x, commutator(y, z)) - commutator(tr(x, y), z) - commutator(y, tr(x, z))
-        r2 = tr(commutator(x, y), z) - (assoc(x, y, z) - assoc(y, x, z))
-        r3 = db(x, db(y, z)) + db(y, db(z, x)) + db(z, db(x, y))
-        for r in (r1, r2, r3):
-            worst = max(worst, float(np.abs(r).max()) / scale)
-    return {
-        "check": "postlie-axioms",
-        "kind": kindv.name,
-        "n": n,
-        "samples": samples,
-        "max_residual": worst,
-        "pass": bool(worst <= tol),
-        "seed": seed,
-    }
+        def db(a, b):
+            return tr(a, b) - tr(b, a) + commutator(a, b)
+
+        yield tr(x, commutator(y, z)) - commutator(tr(x, y), z) - commutator(y, tr(x, z))
+        yield tr(commutator(x, y), z) - (assoc(x, y, z) - assoc(y, x, z))
+        yield db(x, db(y, z)) + db(y, db(z, x)) + db(z, db(x, y))
+
+    return _sampled_check("postlie-axioms", kind, n, samples, tol, seed, 3, residuals)
 
 
 def eval_F(kind, m0, a: Series) -> np.ndarray:

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "AngularField",
     "ConvergenceError",
-    "convergence_order",
     "convergence_study",
     "hat",
     "integrate",
@@ -137,8 +136,6 @@ STEPPERS = {
 
 
 def _stepper(method):
-    if callable(method):
-        return method
     try:
         return STEPPERS[method]
     except KeyError:
@@ -152,27 +149,28 @@ def _check_step(h: float, steps: int = 0) -> None:
         raise ValueError(f"steps must be >= 0, got {steps!r}")
 
 
+def _points(field: AngularField, y0, h: float, steps: int, method):
+    """Yield (i*h, y_i) for i = 0..steps, checking the arguments first."""
+    step = _stepper(method)
+    _check_step(h, steps)
+    y = np.asarray(y0, dtype=float)
+    yield 0.0, y
+    for i in range(1, steps + 1):
+        y = step(field, y, h)
+        yield i * h, y
+
+
 def trajectory(
     field: AngularField, y0, h: float, steps: int, method="lie-euler"
 ) -> list[tuple[float, np.ndarray]]:
     """The points (i*h, y_i) for i = 0..steps."""
-    step = _stepper(method)
-    _check_step(h, steps)
-    y = np.asarray(y0, dtype=float)
-    out = [(0.0, y)]
-    for i in range(1, steps + 1):
-        y = step(field, y, h)
-        out.append((i * h, y))
-    return out
+    return list(_points(field, y0, h, steps, method))
 
 
 def integrate(field: AngularField, y0, h: float, steps: int, method="lie-euler") -> np.ndarray:
     """The last point of trajectory(...), stepped to without keeping the path."""
-    step = _stepper(method)
-    _check_step(h, steps)
-    y = np.asarray(y0, dtype=float)
-    for _ in range(steps):
-        y = step(field, y, h)
+    for _, y in _points(field, y0, h, steps, method):
+        pass
     return y
 
 
@@ -205,16 +203,10 @@ def convergence_study(
         float(np.linalg.norm(integrate(field, y0, h, round(T / h), method) - ref))
         for h in hs
     ]
-    name = method if isinstance(method, str) else getattr(method, "__name__", "custom")
-    report: dict = {"method": name, "h": hs, "errors": errors}
+    report: dict = {"method": method, "h": hs, "errors": errors}
     if any(e == 0.0 for e in errors):
         report["slope"] = None
         report["exact"] = True
     else:
         report["slope"] = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
     return report
-
-
-def convergence_order(field: AngularField, y0, T: float, method, h_list, refine: int = 64):
-    """Slope from convergence_study; None when an error is exactly zero."""
-    return convergence_study(field, y0, T, method, h_list, refine)["slope"]

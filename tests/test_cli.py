@@ -224,6 +224,13 @@ class TestEnumerate:
         assert code == 1
         assert "cap" in err
 
+    def test_default_cap_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.delenv("LIEBUTCHER_DEGREE_CAP", raising=False)
+        code, out, err = run(capsys, "enumerate", "--what", "forests", "--degree", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "set LIEBUTCHER_DEGREE_CAP to raise it" in err
+
     def test_cap_env_raises_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "9")
         code, out, _ = run(
@@ -270,6 +277,13 @@ class TestAxioms:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "tol" in err
+
+    @pytest.mark.parametrize("n", ["0", "-1", "1"])
+    def test_matrix_rejects_n_below_2(self, capsys, n):
+        code, out, err = run(capsys, "axioms", "--target", "matrix", "--kind", "lu", "--n", n)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"n must be >= 2, got {n}" in err
 
     def test_matrix_requires_kind(self, capsys):
         code, _, err = run(capsys, "axioms", "--target", "matrix")
@@ -337,6 +351,33 @@ class TestIntegrateAndConverge:
                 assert len(row) == 5
                 for field in row:
                     float(field)
+
+    @pytest.mark.parametrize("method", ["lie-euler", "lie-midpoint"])
+    def test_output_forms_agree(self, capsys, tmp_path, method):
+        path = tmp_path / "run.csv"
+        argv = ("integrate", "--method", method, "--h", "0.05", "--steps", "40")
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--csv", str(path), "--format", "json")
+        assert code == 0
+        summary = json.loads(out)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert text.splitlines() == [",".join(row) for row in rows]
+        assert summary["final"] == [float(v) for v in rows[-1][1:4]]
+        assert summary["max_norm_defect"] == max(float(row[4]) for row in rows[1:])
+
+    @pytest.mark.parametrize("form", ["text", "json", "csv"])
+    def test_failing_run_writes_nothing(self, capsys, tmp_path, form):
+        path = tmp_path / "run.csv"
+        extra = {"text": (), "json": ("--format", "json"), "csv": ("--csv", str(path))}[form]
+        code, out, err = run(
+            capsys, "integrate", "--method", "lie-midpoint", "--h", "50", "--steps", "3", *extra
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "midpoint stage did not reach" in err
+        assert not path.exists()
 
     def test_integrate_nan_step_is_rejected(self, capsys):
         code, out, err = run(

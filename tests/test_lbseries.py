@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     S,
@@ -10,6 +11,7 @@ from helpers import (
     enumeration_first_defect,
     random_lie_monomial,
     random_lie_series,
+    shuffle_oracle,
 )
 from liebutcher.lbseries import (
     FieldSeries,
@@ -165,6 +167,99 @@ class TestPredicatesAgainstOracle:
     )
     def test_edges(self, s):
         _assert_predicates_match_oracle(s)
+
+
+@st.composite
+def small_series(draw):
+    """A Lie series or its concatenation exponential, truncated at 1..4,
+    possibly perturbed on random forests, possibly made exact."""
+    trunc = draw(st.integers(1, 4))
+    s = random_lie_series(random.Random(draw(st.integers(0, 2**16))), trunc)
+    if draw(st.booleans()):
+        s = exp_concat(s, trunc, validate=False).series
+    forests = [f for d in range(trunc + 1) for f in enumerate_forests(d)]
+    for _ in range(draw(st.integers(0, 2))):
+        delta = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+        s = s + Series.of(draw(st.sampled_from(forests)), delta, trunc)
+    return Series(s.terms) if draw(st.booleans()) else s
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_series())
+def test_predicates_match_the_oracle_on_random_series(s):
+    _assert_predicates_match_oracle(s)
+
+
+# Dimensions l_n of the free Lie algebra on planar trees (Munthe-Kaas and
+# Krogstad, 2003): prod_k (1 - x^k)^(-l_k) = sum_n C_n x^n, C_n the number of
+# ordered forests of degree n.
+LIE_DIMS = (1, 1, 3, 8, 25, 75)
+
+
+def _shuffle_rows(n):
+    """The degree-n forests, and the coordinates of every u sh v with u, v
+    non-empty of total degree n, computed by the position-choice oracle."""
+    forests = enumerate_forests(n)
+    index = {f: i for i, f in enumerate(forests)}
+    rows = []
+    for p in range(1, n):
+        for u in enumerate_forests(p):
+            for v in enumerate_forests(n - p):
+                row = [Fraction(0)] * len(forests)
+                for f, c in shuffle_oracle(u, v).items():
+                    row[index[f]] += c
+                rows.append(row)
+    return forests, rows
+
+
+def _nullspace(rows, ncols):
+    """A basis of {x : row . x = 0 for every row}, by Fraction elimination."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, other in enumerate(rows):
+            if i != r and other[c]:
+                rows[i] = [a - other[c] * b for a, b in zip(other, rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            x[c] = -row[free]
+        basis.append(x)
+    return basis
+
+
+class TestLieDimension:
+    """Infinitesimal characters of degree n vanish on every shuffle, so they
+    form the orthogonal complement of the shuffle products: dimension C_n
+    minus their rank, which must be the Lie dimension l_n."""
+
+    def test_lie_dims_generate_the_forest_counts(self):
+        counts = [1] + [0] * len(LIE_DIMS)
+        for k, dim in enumerate(LIE_DIMS, start=1):
+            for _ in range(dim):  # multiply by 1 / (1 - x^k)
+                for n in range(k, len(counts)):
+                    counts[n] += counts[n - k]
+        assert counts[1:] == [len(enumerate_forests(n)) for n in range(1, len(counts))]
+
+    @pytest.mark.parametrize("n", range(1, len(LIE_DIMS) + 1))
+    def test_nullspace_is_the_lie_part(self, n):
+        forests, rows = _shuffle_rows(n)
+        basis = _nullspace(rows, len(forests))
+        assert len(basis) == LIE_DIMS[n - 1]
+        for x in basis:
+            a = Series(dict(zip(forests, x)))
+            assert is_inf_character(a)
+            for row in rows[:3]:
+                assert not is_inf_character(a + Series(dict(zip(forests, row))))
 
 
 class TestExponentials:

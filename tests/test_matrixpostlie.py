@@ -140,6 +140,12 @@ class TestChecks:
         with pytest.raises(ValueError, match=match):
             check("lu", 3, samples=samples, tol=tol)
 
+    @pytest.mark.parametrize("check", [check_projection_identity, check_matrix_postlie_axioms])
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_rejects_matrices_below_2x2(self, check, n):
+        with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
+            check("qr", n, samples=5)
+
     def test_seed_reproducibility(self):
         a = check_projection_identity("qr", 3, samples=10, seed=77)
         b = check_projection_identity("qr", 3, samples=10, seed=77)

@@ -5,7 +5,6 @@ import pytest
 
 from liebutcher.sphere import (
     ConvergenceError,
-    convergence_order,
     convergence_study,
     hat,
     integrate,
@@ -121,6 +120,8 @@ class TestTrajectory:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             trajectory(FIELD, Y0, 0.1, 2, "rk4")
+        with pytest.raises(ValueError, match="unknown method"):
+            integrate(FIELD, Y0, 0.1, 2, step_lie_euler)  # methods are STEPPERS names
 
     def test_integrate_returns_last_point(self):
         for method in ("lie-euler", "lie-midpoint"):
@@ -156,15 +157,15 @@ class TestUnitVector:
 
 class TestConvergence:
     def test_euler_first_order_quick(self):
-        slope = convergence_order(
+        slope = convergence_study(
             FIELD, Y0, 0.5, "lie-euler", [1 / 10, 1 / 20, 1 / 40], refine=16
-        )
+        )["slope"]
         assert 0.8 <= slope <= 1.2
 
     def test_midpoint_second_order_quick(self):
-        slope = convergence_order(
+        slope = convergence_study(
             FIELD, Y0, 0.5, "lie-midpoint", [1 / 10, 1 / 20, 1 / 40], refine=16
-        )
+        )["slope"]
         assert 1.8 <= slope <= 2.2
 
     def test_reference_against_itself_is_exact(self):
