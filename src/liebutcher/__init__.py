@@ -57,7 +57,7 @@ __version__ = "0.1.0"
 # attribute (no copy is bound here), so a patched attribute is seen.
 _NUMERIC = {
     **dict.fromkeys(
-        ("ProjectionKind", "check_matrix_postlie_axioms", "check_projection_identity", "eval_F",
+        ("check_matrix_postlie_axioms", "check_projection_identity", "eval_F",
          "mat_triangleright", "project_minus", "project_plus"),
         "matrixpostlie",
     ),

@@ -19,38 +19,15 @@ import sys
 from . import lbseries, postlie
 from .series import Series, concat, shuffle
 from .trees import (
-    DEFAULT_DEGREE_CAP,
-    DegreeCapError,
     ForestParseError,
+    check_degree,
     enumerate_forests,
     enumerate_trees,
     parse_forest,
 )
 
-CAP_ENV_VAR = "LIEBUTCHER_DEGREE_CAP"
 DEFAULT_DEGREE = 4
 METHODS = ("lie-euler", "lie-midpoint")  # the keys of sphere.STEPPERS
-
-
-def _degree_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_DEGREE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise DegreeCapError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
-def _check_degree(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    cap = _degree_cap()
-    if n > cap:
-        raise DegreeCapError(
-            f"degree {n} exceeds the cap {cap}; set {CAP_ENV_VAR} to raise it"
-        )
-    return n
 
 
 def _print_json(body) -> None:
@@ -83,8 +60,6 @@ def _load_operand(text: str, degree: int | None) -> Series:
 
 
 def _cmd_product(args) -> int:
-    if args.degree is not None:
-        _check_degree(args.degree)
     a = _load_operand(args.left, args.degree)
     b = _load_operand(args.right, args.degree)
     op = {
@@ -98,7 +73,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_exp(args) -> int:
-    n = _check_degree(args.degree)
+    n = args.degree
     if args.series is None:
         a = lbseries.field_generator(n)
     else:
@@ -109,14 +84,14 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_magnus(args) -> int:
-    n = _check_degree(args.degree)
+    n = args.degree
     chi = lbseries.magnus_chi(lbseries.field_generator(n), n)
     _emit_series(chi.series, args.format)
     return 0
 
 
 def _cmd_order(args) -> int:
-    n = _check_degree(args.degree)
+    n = args.degree
     character = {
         "lie-euler": lbseries.lie_euler_character,
         "lie-midpoint": lbseries.lie_midpoint_character,
@@ -148,12 +123,10 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    _check_degree(args.degree)
-    cap = _degree_cap()
     if args.what == "trees":
-        items = [t.text for t in enumerate_trees(args.degree, cap)]
+        items = [t.text for t in enumerate_trees(args.degree)]
     else:
-        items = [f.text for f in enumerate_forests(args.degree, cap)]
+        items = [f.text for f in enumerate_forests(args.degree)]
     if args.format == "json":
         body = {"what": args.what, "degree": args.degree, "count": len(items)}
         if not args.count_only:
@@ -169,7 +142,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_axioms(args) -> int:
     if args.target == "free":
-        n = _check_degree(args.degree)
+        n = args.degree
         report = postlie.check_postlie_axioms(n)
         body = {
             "check": "postlie-axioms-free",
@@ -341,6 +314,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "degree", None) is not None:
+            check_degree(args.degree)
         return args.fn(args)
     except (ValueError, OSError) as err:  # every liebutcher error is a ValueError
         print(f"error: {err}", file=sys.stderr)

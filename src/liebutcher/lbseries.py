@@ -175,9 +175,9 @@ def magnus_chi(a, n: int, validate: bool = True) -> FieldSeries:
     return log_gl(exp_concat(a, n, validate=False), validate=validate)
 
 
-def lie_euler_character(n: int, validate: bool = True) -> MethodCharacter:
+def lie_euler_character(n: int) -> MethodCharacter:
     """Series of the method stepping along the frozen exponential flow."""
-    return exp_concat(field_generator(n), n, validate=validate)
+    return exp_concat(field_generator(n), n)
 
 
 def lie_midpoint_field(n: int) -> FieldSeries:
@@ -194,14 +194,14 @@ def lie_midpoint_field(n: int) -> FieldSeries:
     return FieldSeries(k)
 
 
-def lie_midpoint_character(n: int, validate: bool = True) -> MethodCharacter:
+def lie_midpoint_character(n: int) -> MethodCharacter:
     """Series of the midpoint method, exp_concat of the solved stage."""
-    return exp_concat(lie_midpoint_field(n), n, validate=validate)
+    return exp_concat(lie_midpoint_field(n), n)
 
 
-def exact_flow_character(n: int, validate: bool = True) -> MethodCharacter:
+def exact_flow_character(n: int) -> MethodCharacter:
     """exp_gl of the generating field: the benchmark exact-flow series."""
-    return exp_gl(field_generator(n), n, validate=validate)
+    return exp_gl(field_generator(n), n)
 
 
 def first_defect(a, b) -> Defect | None:

@@ -10,7 +10,7 @@ grafting against an independent realization.
 
 from __future__ import annotations
 
-from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .trees import EMPTY_FOREST, Tree
 
 __all__ = [
     "DEFAULT_SEED",
-    "ProjectionKind",
     "check_matrix_postlie_axioms",
     "check_projection_identity",
     "commutator",
@@ -35,15 +34,17 @@ __all__ = [
 DEFAULT_SEED = 1914
 
 
-class ProjectionKind(Enum):
-    LU = "lu"
-    QR = "qr"
+_KINDS = ("lu", "qr")
 
 
-def _kind(kind) -> ProjectionKind:
-    if isinstance(kind, ProjectionKind):
+def _kind(kind) -> str:
+    """The kind as "lu" or "qr", given in any case; those two strings pass as they are."""
+    if kind in _KINDS:
         return kind
-    return ProjectionKind(str(kind).lower())
+    lowered = str(kind).lower()
+    if lowered not in _KINDS:
+        raise ValueError(f"unknown projection kind {kind!r}; expected 'lu' or 'qr'")
+    return lowered
 
 
 def _check_square(m: np.ndarray) -> None:
@@ -59,7 +60,7 @@ def project_minus(kind, m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     _check_square(m)
     low = np.tril(m, -1)
-    if _kind(kind) is ProjectionKind.LU:
+    if _kind(kind) == "lu":
         return low
     return low - low.T
 
@@ -115,7 +116,7 @@ def _sampled_check(check: str, kind, n: int, samples: int, tol: float, seed: int
             worst = max(worst, float(np.abs(r).max()) / scale)
     return {
         "check": check,
-        "kind": kindv.name,
+        "kind": kindv.upper(),
         "n": n,
         "samples": samples,
         "max_residual": worst,
@@ -191,22 +192,17 @@ def eval_F(kind, m0, a: Series) -> np.ndarray:
             "series is not a combination of trees and commutators of trees "
             "(it fails the shuffle criterion)"
         )
-    cache: dict[Tree, np.ndarray] = {}
 
+    @lru_cache(maxsize=None)
     def value(t: Tree) -> np.ndarray:
-        got = cache.get(t)
-        if got is not None:
-            return got
         if not t.children:
-            out = m0
-        else:
-            head = t.children[0]
-            rest = Tree(t.children[1:])
-            out = mat_triangleright(kindv, value(head), value(rest))
-            for attached in graft_attachments(head, rest):
-                if attached != t:
-                    out = out - value(attached)
-        cache[t] = out
+            return m0
+        head = t.children[0]
+        rest = Tree(t.children[1:])
+        out = mat_triangleright(kindv, value(head), value(rest))
+        for attached in graft_attachments(head, rest):
+            if attached != t:
+                out = out - value(attached)
         return out
 
     total = np.zeros_like(m0)

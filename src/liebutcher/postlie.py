@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .series import Series, bilinear, concat, deshuffle_forest
-from .trees import Forest, Tree, enumerate_trees, tree_sort_key
+from .trees import Forest, Tree, enumerate_trees, forest_sort_key
 
 __all__ = [
     "AxiomReport",
@@ -206,7 +206,7 @@ def check_postlie_axioms(max_degree: int, extension: GraftExtension | None = Non
 
 
 def _symmetrize_tree(t: Tree) -> Tree:
-    kids = sorted((_symmetrize_tree(c) for c in t.children), key=tree_sort_key)
+    kids = sorted((_symmetrize_tree(c) for c in t.children), key=forest_sort_key)
     return Tree(kids)
 
 
@@ -219,7 +219,7 @@ def forget_planarity(a: Series) -> Series:
     """
     acc: dict[Forest, Fraction] = {}
     for f, c in a.terms.items():
-        ts = sorted((_symmetrize_tree(t) for t in f.trees), key=tree_sort_key)
+        ts = sorted((_symmetrize_tree(t) for t in f.trees), key=forest_sort_key)
         g = Forest(ts)
         acc[g] = acc.get(g, Fraction(0)) + c
     return Series(acc, a.trunc)

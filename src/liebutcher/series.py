@@ -104,15 +104,6 @@ class Series:
         """Stored coefficient (0 when absent); no truncation guard."""
         return self.terms.get(_as_forest(forest), Fraction(0))
 
-    def pairing(self, forest) -> Fraction:
-        """Coefficient of the given forest; errors beyond the truncation."""
-        f = _as_forest(forest)
-        if self.trunc is not None and f.degree > self.trunc:
-            raise TruncationError(
-                f"coefficient of degree {f.degree} is not represented (trunc={self.trunc})"
-            )
-        return self.terms.get(f, Fraction(0))
-
     def truncated(self, n: int) -> "Series":
         return Series(self.terms, min_trunc(self.trunc, n))
 
@@ -205,7 +196,13 @@ class Series:
 
 
 def pairing(a: Series, forest) -> Fraction:
-    return a.pairing(forest)
+    """Coefficient of the given forest; errors beyond the truncation."""
+    f = _as_forest(forest)
+    if a.trunc is not None and f.degree > a.trunc:
+        raise TruncationError(
+            f"coefficient of degree {f.degree} is not represented (trunc={a.trunc})"
+        )
+    return a.terms.get(f, Fraction(0))
 
 
 def truncate(a: Series, n: int) -> Series:

@@ -10,10 +10,15 @@ The canonical order used for enumeration and printing is graded by degree
 (number of nodes), ties broken lexicographically on the rendered string
 with '[' < ']' < ' '.  Trees and forests are interned (hash-consed): == and
 hash are identity, and the enumeration memo is a functools.lru_cache.
+
+Counts grow like the Catalan numbers, so check_degree bounds every
+enumeration, and the CLI's --degree, by one cap: the environment variable
+LIEBUTCHER_DEGREE_CAP, read on each call, or DEFAULT_DEGREE_CAP when unset.
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 
 __all__ = [
@@ -25,16 +30,15 @@ __all__ = [
     "LEAF",
     "MAX_DEPTH",
     "Tree",
+    "check_degree",
     "enumerate_forests",
     "enumerate_trees",
     "forest_sort_key",
     "parse_forest",
     "render_forest",
-    "tree_sort_key",
 ]
 
-# Enumeration refuses degrees above this unless the caller raises the cap;
-# counts grow like Catalan numbers, so unbounded requests are a footgun.
+# the degree cap when LIEBUTCHER_DEGREE_CAP is unset
 DEFAULT_DEGREE_CAP = 8
 
 # parse_forest recurses per level and a depth-d chain stores O(d^2) text
@@ -50,7 +54,7 @@ class ForestParseError(ValueError):
 
 
 class DegreeCapError(ValueError):
-    """An enumeration request exceeded the configured degree cap."""
+    """A degree exceeded the cap, or the cap variable is not an integer."""
 
 
 class _Interned:
@@ -183,15 +187,19 @@ def forest_sort_key(f: Forest | Tree) -> tuple[int, str]:
     return (f.degree, f.text.translate(_RANK))
 
 
-tree_sort_key = forest_sort_key
-
-
-def _check_cap(n: int, cap: int | None) -> None:
-    limit = DEFAULT_DEGREE_CAP if cap is None else cap
-    if n > limit:
-        raise DegreeCapError(
-            f"degree {n} exceeds the enumeration cap {limit}; pass a larger cap to proceed"
-        )
+def check_degree(n: int) -> None:
+    """Refuse a negative degree or one above the cap, LIEBUTCHER_DEGREE_CAP
+    (read at each call) or DEFAULT_DEGREE_CAP when unset."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    var = "LIEBUTCHER_DEGREE_CAP"
+    raw = os.environ.get(var)
+    try:
+        cap = DEFAULT_DEGREE_CAP if raw is None else int(raw)
+    except ValueError:
+        raise DegreeCapError(f"{var} must be an integer, got {raw!r}") from None
+    if n > cap:
+        raise DegreeCapError(f"degree {n} exceeds the cap {cap}; set {var} to raise it")
 
 
 @lru_cache(maxsize=None)
@@ -207,17 +215,15 @@ def _forests_raw(n: int) -> tuple[Forest, ...]:
     )
 
 
-def enumerate_trees(n: int, cap: int | None = None) -> list[Tree]:
+def enumerate_trees(n: int) -> list[Tree]:
     """All planar rooted trees of degree n, in canonical order."""
     if n < 1:
         raise ValueError("there is no tree of degree < 1")
-    _check_cap(n, cap)
-    return sorted((Tree(f.trees) for f in _forests_raw(n - 1)), key=tree_sort_key)
+    check_degree(n)
+    return sorted((Tree(f.trees) for f in _forests_raw(n - 1)), key=forest_sort_key)
 
 
-def enumerate_forests(n: int, cap: int | None = None) -> list[Forest]:
+def enumerate_forests(n: int) -> list[Forest]:
     """All ordered forests of total degree n, in canonical order."""
-    if n < 0:
-        raise ValueError("forest degree must be >= 0")
-    _check_cap(n, cap)
+    check_degree(n)
     return sorted(_forests_raw(n), key=forest_sort_key)

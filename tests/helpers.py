@@ -157,7 +157,7 @@ def char_rank_sort_key(f: Forest) -> tuple[int, tuple[int, ...]]:
 def enumeration_first_defect(a: Series, b: Series) -> Defect | None:
     """First-defect oracle: compare every forest up to the truncation, in order."""
     for d in range(0, a.trunc + 1):
-        for f in sorted(enumerate_forests(d, cap=a.trunc), key=char_rank_sort_key):
+        for f in sorted(enumerate_forests(d), key=char_rank_sort_key):
             ca, cb = a.coeff(f), b.coeff(f)
             if ca != cb:
                 return Defect(d, f, ca, cb)

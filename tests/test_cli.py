@@ -5,7 +5,7 @@ import pytest
 
 from liebutcher import sphere
 from liebutcher.cli import main
-from liebutcher.trees import MAX_DEPTH
+from liebutcher.trees import MAX_DEPTH, DegreeCapError, check_degree
 
 
 def run(capsys, *argv):
@@ -231,6 +231,25 @@ class TestEnumerate:
         assert out == ""
         assert err.startswith("error:") and "set LIEBUTCHER_DEGREE_CAP to raise it" in err
 
+    def test_cap_message_is_the_library_message(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--what", "trees", "--degree", "9")
+        with pytest.raises(DegreeCapError) as info:
+            check_degree(9)
+        assert code == 1 and out == ""
+        assert err == f"error: {info.value}\n"
+
+    def test_non_integer_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "abc")
+        code, out, err = run(capsys, "magnus", "--degree", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: LIEBUTCHER_DEGREE_CAP must be an integer")
+
+    def test_no_degree_reads_no_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "abc")
+        code, out, _ = run(capsys, "graft", "[]", "[]")
+        assert code == 0 and out == "1\t[[]]\n"
+
     def test_cap_env_raises_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "9")
         code, out, _ = run(
@@ -284,6 +303,14 @@ class TestAxioms:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and f"n must be >= 2, got {n}" in err
+
+    def test_matrix_rejects_negative_degree(self, capsys):
+        code, out, err = run(
+            capsys, "axioms", "--target", "matrix", "--kind", "lu", "--degree", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: degree must be >= 0")
 
     def test_matrix_requires_kind(self, capsys):
         code, _, err = run(capsys, "axioms", "--target", "matrix")

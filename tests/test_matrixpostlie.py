@@ -3,7 +3,6 @@ import pytest
 
 from helpers import S
 from liebutcher.matrixpostlie import (
-    ProjectionKind,
     check_matrix_postlie_axioms,
     check_projection_identity,
     commutator,
@@ -66,9 +65,20 @@ class TestProjections:
 
     def test_kind_coercion(self):
         m = np.ones((3, 3))
-        assert np.array_equal(project_minus(ProjectionKind.QR, m), project_minus("qr", m))
+        assert np.array_equal(project_minus("QR", m), project_minus("qr", m))
         with pytest.raises(ValueError):
             project_minus("cholesky", m)
+
+    def test_unknown_kind_names_both_choices(self):
+        with pytest.raises(ValueError, match="'lu' or 'qr'"):
+            project_minus("cholesky", np.ones((3, 3)))
+        with pytest.raises(ValueError, match="'lu' or 'qr'"):
+            check_projection_identity("lq", 3, samples=1)
+
+    @pytest.mark.parametrize("kind, name", [("lu", "LU"), ("Qr", "QR"), ("QR", "QR")])
+    def test_report_names_the_kind_in_capitals(self, kind, name):
+        assert check_projection_identity(kind, 3, samples=2)["kind"] == name
+        assert check_matrix_postlie_axioms(kind, 3, samples=2)["kind"] == name
 
 
 class TestProduct:

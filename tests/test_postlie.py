@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from helpers import S, T
 from liebutcher.postlie import (
     GraftExtension,
@@ -14,7 +16,7 @@ from liebutcher.postlie import (
     triangleright,
 )
 from liebutcher.series import Series, concat
-from liebutcher.trees import Forest, enumerate_forests, enumerate_trees
+from liebutcher.trees import DegreeCapError, Forest, enumerate_forests, enumerate_trees
 
 UNIT = Series.unit()
 
@@ -207,6 +209,12 @@ class TestAxiomChecker:
         report = check_postlie_axioms(5)
         assert report.passed
         assert report.triples == 13
+
+    def test_obeys_the_degree_cap(self, monkeypatch):
+        # degree 8 enumerates trees up to degree 6
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "5")
+        with pytest.raises(DegreeCapError, match="set LIEBUTCHER_DEGREE_CAP to raise it"):
+            check_postlie_axioms(8)
 
     def test_broken_extension_fails_with_witness(self):
         report = check_postlie_axioms(4, extension=_BrokenLeibniz())

@@ -13,12 +13,12 @@ from liebutcher.trees import (
     LEAF,
     MAX_DEPTH,
     Tree,
+    check_degree,
     enumerate_forests,
     enumerate_trees,
     forest_sort_key,
     parse_forest,
     render_forest,
-    tree_sort_key,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
@@ -141,15 +141,28 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_forests(-1)
 
-    def test_degree_cap(self):
+    def test_degree_cap(self, monkeypatch):
         with pytest.raises(DegreeCapError):
             enumerate_trees(9)
         with pytest.raises(DegreeCapError):
             enumerate_forests(9)
-        assert len(enumerate_trees(9, cap=9)) == 1430
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "9")
+        assert len(enumerate_trees(9)) == 1430
+
+    def test_cap_is_read_at_each_call(self, monkeypatch):
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "3")
+        with pytest.raises(DegreeCapError):
+            enumerate_trees(4)
+        assert len(enumerate_forests(3)) == 5
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "0")
+        assert enumerate_forests(0) == [EMPTY_FOREST]
+        with pytest.raises(DegreeCapError):
+            enumerate_forests(1)
+        monkeypatch.delenv("LIEBUTCHER_DEGREE_CAP")
+        assert len(enumerate_trees(4)) == 5
 
     def test_sort_key_grading(self):
-        keys = [tree_sort_key(t) for n in range(1, 5) for t in enumerate_trees(n)]
+        keys = [forest_sort_key(t) for n in range(1, 5) for t in enumerate_trees(n)]
         assert keys == sorted(keys)
 
     def test_char_rank_key_gives_the_same_order(self):
@@ -234,3 +247,33 @@ def test_round_trips_return_the_interned_object(f):
     for t in f.trees:
         assert copy.deepcopy(t) is t
         assert pickle.loads(pickle.dumps(t)) is t
+
+
+class TestCheckDegree:
+    def test_accepts_zero_through_the_default_cap(self):
+        for n in range(0, 9):
+            check_degree(n)
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match=r"^degree must be >= 0, got -1$") as info:
+            check_degree(-1)
+        assert not isinstance(info.value, DegreeCapError)
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            enumerate_forests(-1)
+
+    def test_above_the_cap_names_the_variable(self, monkeypatch):
+        with pytest.raises(DegreeCapError) as info:
+            check_degree(9)
+        assert str(info.value) == "degree 9 exceeds the cap 8; set LIEBUTCHER_DEGREE_CAP to raise it"
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "5")
+        with pytest.raises(DegreeCapError, match="exceeds the cap 5;"):
+            check_degree(6)
+        check_degree(5)
+
+    @pytest.mark.parametrize("raw", ["abc", "", "8.0"])
+    def test_non_integer_cap(self, monkeypatch, raw):
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", raw)
+        with pytest.raises(DegreeCapError, match="^LIEBUTCHER_DEGREE_CAP must be an integer"):
+            check_degree(1)
+        with pytest.raises(DegreeCapError, match="LIEBUTCHER_DEGREE_CAP"):
+            enumerate_trees(1)
