@@ -142,7 +142,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_axioms(args) -> int:
     if args.target == "free":
-        n = args.degree
+        n = DEFAULT_DEGREE if args.degree is None else args.degree
+        check_degree(n)
         report = postlie.check_postlie_axioms(n)
         body = {
             "check": "postlie-axioms-free",
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="verify defining identities, free or matrix")
     p.add_argument("--target", choices=("free", "matrix"), required=True)
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
+    p.add_argument("--degree", type=int, default=None)  # free: DEFAULT_DEGREE; matrix: unused
     p.add_argument("--kind", choices=("lu", "qr"), default=None)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--samples", type=int, default=100)

@@ -12,7 +12,10 @@ Both predicates read the deshuffle coproduct instead of evaluating on
 shuffles: <a, u sh v> is the weight of (u, v) in deshuffle(a), so a is a
 character iff deshuffle(a) = a (x) a and infinitesimal iff its coproduct is
 a (x) 1 + 1 (x) a (Friedrichs' criterion).  Both exponentials and the
-logarithm share one power-series loop.
+logarithm share one power-series loop.  The midpoint stage is a graded
+fixed point: round r solves at truncation r only, so the rounds cost the
+sum of their own truncations' costs; every product runs through the graded
+integer kernel series.bilinear.
 """
 
 from __future__ import annotations
@@ -183,14 +186,17 @@ def lie_euler_character(n: int) -> MethodCharacter:
 def lie_midpoint_field(n: int) -> FieldSeries:
     """Stage series K solving K = exp_concat(K/2) |> h[].
 
-    Fixed-point iteration; the degree-k component is stationary after k
-    rounds, so exactly n rounds pin everything below the truncation.
+    Graded fixed point: the degree-r part of K depends only on its parts
+    of degree < r, so round r = 1..n lifts the previous K (exact below r)
+    to truncation r and solves there, and each round costs what its own
+    truncation costs instead of what the final one does.
     """
     hgen = field_generator(n)
-    k = Series.zero(n)
+    k = Series.zero(0)
     half = Fraction(1, 2)
-    for _ in range(n):
-        k = triangleright(exp_concat(k * half, n, validate=False).series, hgen)
+    for r in range(1, n + 1):
+        lifted = Series(k.terms, r) * half
+        k = triangleright(exp_concat(lifted, r, validate=False).series, hgen)
     return FieldSeries(k)
 
 

@@ -67,7 +67,8 @@ class GraftExtension:
 
     The attachments argument exists so tests can substitute a corrupted
     tree product; the module default drives triangleright and gl_product.
-    basis and gl_basis are per-instance lru_caches over _basis and _gl_basis.
+    basis and gl_basis are per-instance lru_caches over _basis and _gl_basis,
+    whose coefficients are ints.
     """
 
     def __init__(self, attachments=graft_attachments):
@@ -75,11 +76,11 @@ class GraftExtension:
         self.basis = lru_cache(maxsize=None)(self._basis)
         self.gl_basis = lru_cache(maxsize=None)(self._gl_basis)
 
-    def _basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, Fraction], ...]:
+    def _basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, int], ...]:
         """w |> v for basis forests, as (forest, coefficient) pairs."""
-        acc: dict[Forest, Fraction] = {}
+        acc: dict[Forest, int] = {}
         if not w.trees:
-            acc[v] = Fraction(1)
+            acc[v] = 1
         elif not v.trees:
             pass  # <w, I> = 0 once w is non-empty
         elif len(w.trees) > 1:
@@ -87,32 +88,32 @@ class GraftExtension:
             rest = Forest(w.trees[1:])
             for f, c in self.basis(rest, v):
                 for g, d in self.basis(x, f):
-                    acc[g] = acc.get(g, Fraction(0)) + c * d
+                    acc[g] = acc.get(g, 0) + c * d
             for f, c in self.basis(x, rest):
                 for g, d in self.basis(f, v):
-                    acc[g] = acc.get(g, Fraction(0)) - c * d
+                    acc[g] = acc.get(g, 0) - c * d
         elif len(v.trees) == 1:
             for t in self._attach(w.trees[0], v.trees[0]):
                 f = Forest((t,))
-                acc[f] = acc.get(f, Fraction(0)) + 1
+                acc[f] = acc.get(f, 0) + 1
         else:
             head = Forest(v.trees[:-1])
             tail = v.trees[-1]
             for f, c in self.basis(w, head):
                 g = Forest(f.trees + (tail,))
-                acc[g] = acc.get(g, Fraction(0)) + c
+                acc[g] = acc.get(g, 0) + c
             for f, c in self.basis(w, Forest((tail,))):
                 g = Forest(head.trees + f.trees)
-                acc[g] = acc.get(g, Fraction(0)) + c
+                acc[g] = acc.get(g, 0) + c
         return tuple((f, c) for f, c in acc.items() if c != 0)
 
-    def _gl_basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, Fraction], ...]:
+    def _gl_basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, int], ...]:
         """w * v for basis forests via the deshuffle coproduct."""
-        acc: dict[Forest, Fraction] = {}
+        acc: dict[Forest, int] = {}
         for (left, right), mult in deshuffle_forest(w):
             for f, c in self.basis(right, v):
                 g = Forest(left.trees + f.trees)
-                acc[g] = acc.get(g, Fraction(0)) + mult * c
+                acc[g] = acc.get(g, 0) + mult * c
         return tuple((f, c) for f, c in acc.items() if c != 0)
 
 

@@ -6,13 +6,16 @@ must not be asked for.  Every binary operation takes the min of the
 operand truncations, so mixing a truncated operand in can never silently
 produce coefficients that were not actually computed.
 
-All arithmetic is over Fraction; floats are rejected to keep identity
-checks exact.
+All coefficients are Fractions; floats are rejected to keep identity
+checks exact.  The product kernel `bilinear` works on integer numerators
+over one common denominator per operand and visits only the degree blocks
+that survive truncation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -68,6 +71,11 @@ def _as_coeff(c) -> Fraction:
     return Fraction(c)
 
 
+# Equal coefficients share one Fraction: series kept alive together repeat a
+# few thousand values, so sharing them roughly halves the memory per term.
+_shared = lru_cache(maxsize=1 << 12)(Fraction)
+
+
 class Series:
     """Finite linear combination of ordered forests with Fraction coefficients."""
 
@@ -78,11 +86,8 @@ class Series:
         if terms:
             for forest, coeff in terms.items():
                 c = _as_coeff(coeff)
-                if c == 0:
-                    continue
-                if trunc is not None and forest.degree > trunc:
-                    continue
-                clean[forest] = c
+                if c and (trunc is None or forest.degree <= trunc):
+                    clean[forest] = _shared(c.numerator, c.denominator)
         self.terms = clean
         self.trunc = trunc
 
@@ -122,7 +127,7 @@ class Series:
             return NotImplemented
         out = dict(self.terms)
         for f, c in other.terms.items():
-            out[f] = out.get(f, Fraction(0)) + c
+            out[f] = out[f] + c if f in out else c
         return Series(out, min_trunc(self.trunc, other.trunc))
 
     def __sub__(self, other):
@@ -130,7 +135,7 @@ class Series:
             return NotImplemented
         out = dict(self.terms)
         for f, c in other.terms.items():
-            out[f] = out.get(f, Fraction(0)) - c
+            out[f] = out[f] - c if f in out else -c
         return Series(out, min_trunc(self.trunc, other.trunc))
 
     def __neg__(self):
@@ -209,23 +214,41 @@ def truncate(a: Series, n: int) -> Series:
     return a.truncated(n)
 
 
+def _graded(a: Series) -> tuple[int, dict[int, list[tuple[Forest, int]]]]:
+    """The lcm of a's denominators, and a's terms times it grouped by degree."""
+    den = math.lcm(*(c.denominator for c in a.terms.values()))
+    blocks: dict[int, list[tuple[Forest, int]]] = {}
+    for f, c in a.terms.items():
+        blocks.setdefault(f.degree, []).append((f, c.numerator * (den // c.denominator)))
+    return den, blocks
+
+
 def bilinear(a: Series, b: Series, basis) -> Series:
     """Bilinear extension of a product given on basis forests.
 
-    basis(fa, fb) yields (forest, coefficient) pairs; pairs of terms whose
-    degrees sum past the common truncation are skipped, which is exact
-    because every product here is degree-additive.
+    basis(fa, fb) yields (forest, coefficient) pairs.  Terms are grouped by
+    degree, and a block pair whose degrees sum past the common truncation is
+    skipped whole, which is exact because every product here is
+    degree-additive.  Each operand is scaled to integer numerators over the
+    lcm of its denominators, so the sums run in int (or exactly in Fraction
+    for a basis with Fraction coefficients) and each output term is divided
+    once, by the product of the two denominators.
     """
     trunc = min_trunc(a.trunc, b.trunc)
-    out: dict[Forest, Fraction] = {}
-    for fa, ca in a.terms.items():
-        for fb, cb in b.terms.items():
-            if trunc is not None and fa.degree + fb.degree > trunc:
+    da, blocks_a = _graded(a)
+    db, blocks_b = _graded(b)
+    out: dict = {}
+    for p, left in blocks_a.items():
+        for q, right in blocks_b.items():
+            if trunc is not None and p + q > trunc:
                 continue
-            scale = ca * cb
-            for f, c in basis(fa, fb):
-                out[f] = out.get(f, Fraction(0)) + scale * c
-    return Series(out, trunc)
+            for fa, ca in left:
+                for fb, cb in right:
+                    scale = ca * cb
+                    for f, c in basis(fa, fb):
+                        out[f] = out.get(f, 0) + scale * c
+    den = da * db
+    return Series({f: Fraction(n, den) for f, n in out.items()}, trunc)
 
 
 def _concat_basis(fa: Forest, fb: Forest):

@@ -56,10 +56,15 @@ def rot_exp(w) -> np.ndarray:
     """Rotation exp(hat(w)) in closed form.
 
     The sin(t)/t and (1-cos t)/t^2 factors switch to their series below
-    t = 1e-6 to avoid cancellation.
+    t = 1e-6 to avoid cancellation.  An angle whose square is not a finite
+    float raises OverflowError.
     """
     w = np.asarray(w, dtype=float)
-    theta = math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    x, y, z = w.tolist()
+    t2 = x * x + y * y + z * z
+    if not math.isfinite(t2):
+        raise OverflowError(f"rotation angle is not finite (squared norm {t2!r})")
+    theta = math.sqrt(t2)
     if theta < 1e-6:
         t2 = theta * theta
         a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
@@ -156,7 +161,12 @@ def _points(field: AngularField, y0, h: float, steps: int, method):
     y = np.asarray(y0, dtype=float)
     yield 0.0, y
     for i in range(1, steps + 1):
-        y = step(field, y, h)
+        try:
+            y = step(field, y, h)
+        except OverflowError:
+            raise ValueError(
+                f"step size h={h!r} overflows the rotation angle at step {i}; reduce h"
+            ) from None
         yield i * h, y
 
 
@@ -194,10 +204,12 @@ def convergence_study(
         raise ValueError("step sizes must be strictly decreasing")
     if refine < 1:
         raise ValueError(f"refine must be >= 1, got {refine!r}")
+    href = hs[-1] / refine
+    if not (href > 0 and math.isfinite(T / href)):  # bounds T / h for every h too
+        raise ValueError(f"reference step {hs[-1]!r}/{refine} is too small for the horizon {T!r}")
     for h in hs:
         if abs(T / h - round(T / h)) > 1e-9:
             raise ValueError(f"step {h!r} does not divide the horizon {T!r}")
-    href = hs[-1] / refine
     ref = integrate(field, y0, href, round(T / href), method)
     errors = [
         float(np.linalg.norm(integrate(field, y0, h, round(T / h), method) - ref))

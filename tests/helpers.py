@@ -6,9 +6,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from liebutcher.lbseries import Defect
-from liebutcher.postlie import bracket
-from liebutcher.series import Series, shuffle
+from liebutcher.lbseries import Defect, field_generator
+from liebutcher.postlie import GraftExtension, bracket
+from liebutcher.series import Series, deshuffle, min_trunc, shuffle
 from liebutcher.trees import (
     EMPTY_FOREST,
     Forest,
@@ -162,3 +162,57 @@ def enumeration_first_defect(a: Series, b: Series) -> Defect | None:
             if ca != cb:
                 return Defect(d, f, ca, cb)
     return None
+
+
+def fraction_bilinear(a: Series, b: Series, basis) -> Series:
+    """Product-kernel oracle: every term pair, truncation tested per pair,
+    all sums in Fraction."""
+    trunc = min_trunc(a.trunc, b.trunc)
+    out: dict[Forest, Fraction] = {}
+    for fa, ca in a.terms.items():
+        for fb, cb in b.terms.items():
+            if trunc is not None and fa.degree + fb.degree > trunc:
+                continue
+            scale = ca * cb
+            for f, c in basis(fa, fb):
+                out[f] = out.get(f, Fraction(0)) + scale * c
+    return Series(out, trunc)
+
+
+def fraction_is_inf_character(a: Series) -> bool:
+    """Predicate oracle on the Fraction coproduct: every split of nonzero
+    weight has exactly one empty side."""
+    return all(bool(u.trees) != bool(v.trees) for u, v in deshuffle(a))
+
+
+def fraction_is_character(a: Series) -> bool:
+    """Predicate oracle on the Fraction coproduct: deshuffle(a) equals the
+    square a (x) a up to the truncation (or the support degree when exact)."""
+    n = _bound(a)
+    square = {
+        (u, v): cu * cv
+        for u, cu in a.terms.items()
+        for v, cv in a.terms.items()
+        if u.degree + v.degree <= n
+    }
+    return deshuffle(a) == square
+
+
+def iterated_lie_midpoint_field(n: int) -> Series:
+    """Midpoint-stage oracle: n rounds of K = exp_concat(K/2) |> h[], each
+    at the full truncation n, with products taken by fraction_bilinear."""
+
+    def concat_basis(u, v):
+        return ((Forest(u.trees + v.trees), 1),)
+
+    graft = GraftExtension().basis
+    hgen = field_generator(n)
+    k = Series.zero(n)
+    for _ in range(n):
+        half = k * Fraction(1, 2)
+        flow = power = Series.unit(n)
+        for j in range(1, n + 1):
+            power = fraction_bilinear(power, half, concat_basis) * Fraction(1, j)
+            flow = flow + power
+        k = fraction_bilinear(flow, hgen, graft)
+    return k

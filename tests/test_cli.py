@@ -317,6 +317,38 @@ class TestAxioms:
         assert code == 2
         assert "--kind" in err
 
+    @pytest.mark.parametrize("cap", ["3", "0", "abc"])
+    def test_matrix_ignores_the_cap_without_degree(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", cap)
+        code, out, err = run(
+            capsys, "axioms", "--target", "matrix", "--kind", "lu", "--n", "4", "--samples", "3"
+        )
+        assert code == 0 and err == ""
+        assert out.count("pass") == 2
+        code, _, err = run(capsys, "axioms", "--target", "matrix")
+        assert code == 2 and "--kind" in err
+
+    def test_matrix_negative_degree_under_a_low_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "3")
+        code, out, err = run(
+            capsys, "axioms", "--target", "matrix", "--kind", "lu", "--degree", "-1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: degree must be >= 0")
+
+    def test_free_default_degree_obeys_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "3")
+        code, out, err = run(capsys, "axioms", "--target", "free")
+        with pytest.raises(DegreeCapError) as info:
+            check_degree(4)
+        assert code == 1 and out == ""
+        assert err == f"error: {info.value}\n"
+
+    def test_free_default_degree_is_4(self, capsys):
+        code, out, _ = run(capsys, "axioms", "--target", "free", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["degree"] == 4
+
 
 class TestIntegrateAndConverge:
     def test_csv_file(self, capsys, tmp_path):
@@ -414,6 +446,34 @@ class TestIntegrateAndConverge:
         assert code == 1
         assert out == ""
         assert "step size" in err
+
+    @pytest.mark.parametrize("method", ["lie-euler", "lie-midpoint"])
+    @pytest.mark.parametrize("h", ["1e308", "1e160"])
+    def test_integrate_overflowing_step_names_h(self, capsys, method, h):
+        code, out, err = run(
+            capsys, "integrate", "--method", method, "--h", h, "--steps", "2", "--format", "json"
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: step size h={float(h)!r} overflows the rotation angle at step 1; reduce h\n"
+
+    def test_integrate_largest_finite_angle_still_steps(self, capsys):
+        code, out, err = run(
+            capsys, "integrate", "--method", "lie-euler", "--h", "1e150", "--steps", "2",
+            "--format", "json",
+        )
+        assert code == 0 and err == ""
+        assert abs(sum(v * v for v in json.loads(out)["final"]) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("hs, T, refine", [
+        ("1,0.5,5e-324", "1", "64"),
+        ("1e308,1,5e-324", "5e-324", "2"),
+    ])
+    def test_converge_vanishing_reference_step(self, capsys, hs, T, refine):
+        code, out, err = run(
+            capsys, "converge", "--method", "lie-euler", "--hs", hs, "--T", T, "--refine", refine
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: reference step") and "too small for the horizon" in err
 
     def test_integrate_negative_steps_are_rejected(self, capsys):
         code, out, err = run(

@@ -1,0 +1,189 @@
+"""The graded integer kernel against its Fraction oracles.
+
+`bilinear` groups terms by degree and sums integer numerators over one
+denominator per operand; `fraction_bilinear` visits every term pair and sums
+in Fraction.  The midpoint stage is solved degree by degree; the oracle runs
+n full-truncation rounds.  Equality is exact throughout.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import (
+    F,
+    S,
+    fraction_bilinear,
+    fraction_is_character,
+    fraction_is_inf_character,
+    iterated_lie_midpoint_field,
+    random_lie_series,
+)
+from liebutcher.lbseries import (
+    exp_concat,
+    field_generator,
+    is_character,
+    is_inf_character,
+    lie_midpoint_field,
+    magnus_chi,
+)
+from liebutcher.postlie import GraftExtension
+from liebutcher.series import Series, _concat_basis, _shuffle_basis, bilinear
+from liebutcher.trees import EMPTY_FOREST, Forest, enumerate_forests
+
+_EXT = GraftExtension()
+
+
+def _fake_basis(u, v):
+    """A non-integer product: two words with Fraction weights."""
+    return (
+        (Forest(u.trees + v.trees), Fraction(2, 3)),
+        (Forest(v.trees + u.trees), Fraction(-5, 7)),
+    )
+
+
+BASES = {
+    "concat": _concat_basis,
+    "shuffle": _shuffle_basis,
+    "graft": _EXT.basis,
+    "gl": _EXT.gl_basis,
+    "fake": _fake_basis,
+}
+
+FORESTS = [f for d in range(5) for f in enumerate_forests(d)]
+
+# each operand draws its denominators from its own pool; the pools are coprime
+LEFT_DENOMINATORS = (1, 2, 3, 4, 6, 9, 12)
+RIGHT_DENOMINATORS = (1, 5, 7, 25, 35)
+
+
+def operands(denominators):
+    coeff = st.builds(
+        Fraction,
+        st.integers(-9, 9).filter(bool),
+        st.sampled_from(denominators),
+    )
+    return st.builds(
+        Series,
+        st.dictionaries(st.sampled_from(FORESTS), coeff, max_size=6),
+        st.one_of(st.none(), st.integers(0, 7)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(BASES)),
+    operands(LEFT_DENOMINATORS),
+    operands(RIGHT_DENOMINATORS),
+    st.booleans(),
+)
+def test_bilinear_matches_the_fraction_oracle(name, a, b, swap):
+    if swap:
+        a, b = b, a
+    basis = BASES[name]
+    got = bilinear(a, b, basis)
+    assert got == fraction_bilinear(a, b, basis)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_bilinear_coprime_denominators_and_truncation(name):
+    # lcm 12 against lcm 35, negative coefficients, a block pair past trunc 4
+    a = Series({F("1"): Fraction(-1, 4), F("[[]]"): Fraction(5, 6), F("[[]] [] []"): Fraction(7, 3)}, 4)
+    b = Series({F("[]"): Fraction(-3, 5), F("[] [[]]"): Fraction(2, 7)})
+    basis = BASES[name]
+    for x, y in ((a, b), (b, a), (a, a), (b, b), (Series(a.terms), b)):
+        assert bilinear(x, y, basis) == fraction_bilinear(x, y, basis)
+
+
+def test_fake_basis_keeps_fractional_weights():
+    got = bilinear(S("[]", Fraction(1, 2)), S("[[]]", 3), _fake_basis)
+    assert got.coeff("[] [[]]") == Fraction(1)
+    assert got.coeff("[[]] []") == Fraction(-15, 14)
+
+
+def test_graft_basis_coefficients_are_ints():
+    for w in enumerate_forests(3):
+        for v in enumerate_forests(2):
+            assert all(type(c) is int for _, c in _EXT.basis(w, v))
+            assert all(type(c) is int for _, c in _EXT.gl_basis(w, v))
+
+
+def test_equal_coefficients_share_one_object():
+    a = S("[]", Fraction(3, 7)) + S("[[]]", Fraction(6, 14))
+    x, y = a.terms.values()
+    assert x is y
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_graded_midpoint_stage_equals_n_full_rounds(n):
+    got = lie_midpoint_field(n).series
+    want = iterated_lie_midpoint_field(n)
+    assert got == want
+    assert got.trunc == n
+
+
+def _predicate_cases():
+    rng = random.Random(23)
+    fields = [random_lie_series(rng, 6) for _ in range(2)]
+    fields += [magnus_chi(field_generator(n), n, validate=False).series for n in (4, 7)]
+    fields.append(lie_midpoint_field(6).series)
+    flows = [exp_concat(x, x.trunc, validate=False).series for x in fields]
+    return fields, flows
+
+
+def _perturb(s, forest, delta):
+    return s + Series.of(forest, delta, s.trunc)
+
+
+class TestPredicatesAgainstFractionCoproduct:
+    def test_valid_series(self):
+        fields, flows = _predicate_cases()
+        for s in fields:
+            assert is_inf_character(s) and fraction_is_inf_character(s)
+            assert not is_character(s) and not fraction_is_character(s)
+        for s in flows:
+            assert is_character(s) and fraction_is_character(s)
+            assert not is_inf_character(s) and not fraction_is_inf_character(s)
+
+    def test_constant_term_breaks_both(self):
+        fields, flows = _predicate_cases()
+        for s in fields:
+            p = _perturb(s, EMPTY_FOREST, Fraction(1, 3))
+            assert not is_inf_character(p) and not fraction_is_inf_character(p)
+        for s in flows:
+            p = _perturb(s, EMPTY_FOREST, Fraction(-2, 5))
+            assert not is_character(p) and not fraction_is_character(p)
+
+    def test_perturbed_words(self):
+        rng = random.Random(29)
+        fields, flows = _predicate_cases()
+        for s in fields + flows:
+            words = [f for d in range(2, s.trunc + 1) for f in enumerate_forests(d) if len(f) > 1]
+            for _ in range(3):
+                p = _perturb(s, rng.choice(words), Fraction(rng.choice((-3, 1, 2)), rng.randint(1, 7)))
+                assert not is_inf_character(p) and not fraction_is_inf_character(p)
+                assert not is_character(p) and not fraction_is_character(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(-3, 3), st.integers(1, 6)), max_size=2),
+    st.booleans(),
+)
+def test_predicates_match_the_fraction_coproduct(trunc, seed, flow, edits, exact):
+    s = random_lie_series(random.Random(seed), trunc)
+    if flow:
+        s = exp_concat(s, trunc, validate=False).series
+    forests = [f for d in range(trunc + 1) for f in enumerate_forests(d)]
+    for index, num, den in edits:
+        s = _perturb(s, forests[index % len(forests)], Fraction(num, den))
+    if exact:
+        s = Series(s.terms)
+    assert is_inf_character(s) == fraction_is_inf_character(s)
+    assert is_character(s) == fraction_is_character(s)

@@ -65,6 +65,16 @@ class TestRotExp:
         closed += (1 - math.cos(theta)) / theta**2 * (k @ k)
         assert np.abs(rot_exp(w) - closed).max() <= 1e-15
 
+    @pytest.mark.parametrize("w", [[1e160, 0.0, 0.0], [1e154, 1e154, 1e154], [math.nan, 0.0, 0.0]])
+    def test_angle_past_float_range_raises(self, w):
+        with pytest.raises(OverflowError, match="rotation angle is not finite"):
+            rot_exp(w)
+
+    def test_largest_representable_angle_is_a_rotation(self):
+        r = rot_exp([1e150, -2e150, 3e150])
+        assert np.all(np.isfinite(r))
+        assert np.allclose(r @ r.T, np.eye(3))
+
     def test_small_angle_first_order(self):
         w = np.array([1e-8, -2e-8, 3e-9])
         assert np.abs(rot_exp(w) - (np.eye(3) + hat(w))).max() <= 1e-15
@@ -135,6 +145,11 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="step size"):
             integrate(FIELD, Y0, h, 2)
 
+    @pytest.mark.parametrize("method", ["lie-euler", "lie-midpoint"])
+    def test_overflowing_step_names_h(self, method):
+        with pytest.raises(ValueError, match=r"step size h=1e\+300 overflows the rotation angle at step 1"):
+            integrate(FIELD, Y0, 1e300, 3, method)
+
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError, match="steps"):
             trajectory(FIELD, Y0, 0.1, -1)
@@ -195,6 +210,10 @@ class TestConvergence:
     def test_rejects_bad_horizon(self, T):
         with pytest.raises(ValueError, match="horizon"):
             convergence_study(FIELD, Y0, T, "lie-euler", [0.1, 0.05, 0.025])
+
+    def test_rejects_a_vanishing_reference_step(self):
+        with pytest.raises(ValueError, match="reference step 5e-324/2 is too small"):
+            convergence_study(FIELD, Y0, 1.0, "lie-euler", [1.0, 0.5, 5e-324], refine=2)
 
     def test_report_keys(self):
         report = convergence_study(
