@@ -27,7 +27,7 @@ from .trees import (
 )
 
 DEFAULT_DEGREE = 4
-METHODS = ("lie-euler", "lie-midpoint")  # the keys of sphere.STEPPERS
+METHODS = tuple(lbseries.METHOD_CHARACTERS)  # also the keys of sphere.STEPPERS
 
 
 def _print_json(body) -> None:
@@ -92,13 +92,8 @@ def _cmd_magnus(args) -> int:
 
 def _cmd_order(args) -> int:
     n = args.degree
-    character = {
-        "lie-euler": lbseries.lie_euler_character,
-        "lie-midpoint": lbseries.lie_midpoint_character,
-    }[args.method](n)
-    exact = lbseries.exact_flow_character(n)
-    defect = lbseries.first_defect(character, exact)
-    order = n if defect is None else defect.degree - 1
+    character = lbseries.METHOD_CHARACTERS[args.method](n)
+    order, defect = lbseries.agreement(character, lbseries.exact_flow_character(n))
     report = {
         "method": args.method,
         "order": order,

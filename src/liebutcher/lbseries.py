@@ -31,7 +31,9 @@ from .trees import EMPTY_FOREST, LEAF, forest_sort_key
 __all__ = [
     "Defect",
     "FieldSeries",
+    "METHOD_CHARACTERS",
     "MethodCharacter",
+    "agreement",
     "exact_flow_character",
     "exp_concat",
     "exp_gl",
@@ -205,6 +207,13 @@ def lie_midpoint_character(n: int) -> MethodCharacter:
     return exp_concat(lie_midpoint_field(n), n)
 
 
+# Method name -> its series; the CLI's method names are these keys.
+METHOD_CHARACTERS = {
+    "lie-euler": lie_euler_character,
+    "lie-midpoint": lie_midpoint_character,
+}
+
+
 def exact_flow_character(n: int) -> MethodCharacter:
     """exp_gl of the generating field: the benchmark exact-flow series."""
     return exp_gl(field_generator(n), n)
@@ -219,9 +228,12 @@ def first_defect(a, b) -> Defect | None:
     return None if f is None else Defect(f.degree, f, sa.coeff(f), sb.coeff(f))
 
 
+def agreement(a, b) -> tuple[int, Defect | None]:
+    """(order_of_agreement(a, b), first_defect(a, b)), the defect found once."""
+    defect = first_defect(a, b)
+    return (_as_series(a).trunc if defect is None else defect.degree - 1), defect
+
+
 def order_of_agreement(a, b) -> int:
     """Largest p with all coefficients of degree <= p equal (p <= trunc)."""
-    defect = first_defect(a, b)
-    if defect is None:
-        return _as_series(a).trunc
-    return defect.degree - 1
+    return agreement(a, b)[0]

@@ -10,14 +10,14 @@ grafting against an independent realization.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
-from .lbseries import is_inf_character
-from .postlie import graft_attachments
+from .lbseries import FieldSeries
+from .postlie import dbracket, graft_attachments, postlie_identities
 from .series import Series
-from .trees import EMPTY_FOREST, Tree
+from .trees import LEAF, Tree
 
 __all__ = [
     "DEFAULT_SEED",
@@ -25,7 +25,6 @@ __all__ = [
     "check_projection_identity",
     "commutator",
     "eval_F",
-    "mat_dbracket",
     "mat_triangleright",
     "project_minus",
     "project_plus",
@@ -82,13 +81,6 @@ def mat_triangleright(kind, m, n) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {m.shape} vs {n.shape}")
     p = project_minus(kind, m)
     return n @ p - p @ n
-
-
-def mat_dbracket(kind, m, n) -> np.ndarray:
-    """M |> N - N |> M + [M, N]."""
-    return mat_triangleright(kind, m, n) - mat_triangleright(kind, n, m) + commutator(
-        np.asarray(m, float), np.asarray(n, float)
-    )
 
 
 def _sampled_check(check: str, kind, n: int, samples: int, tol: float, seed: int,
@@ -149,21 +141,15 @@ def check_matrix_postlie_axioms(
     kind, n: int, samples: int = 100, tol: float = 1e-10,
     seed: int = DEFAULT_SEED, product=None,
 ) -> dict:
-    """Residuals of the two defining identities plus the Jacobi identity of
-    the derived bracket, on random triples.  `product` overrides |> so a
-    wrong-sign product is seen to fail."""
+    """Residuals lhs - rhs of postlie.postlie_identities plus the Jacobi
+    identity of the derived bracket, on random triples.  `product`
+    overrides |> so a wrong-sign product is seen to fail."""
 
     def residuals(kindv, x, y, z):
-        tr = product if product is not None else (lambda a, b: mat_triangleright(kindv, a, b))
-
-        def assoc(a, b, c):
-            return tr(a, tr(b, c)) - tr(tr(a, b), c)
-
-        def db(a, b):
-            return tr(a, b) - tr(b, a) + commutator(a, b)
-
-        yield tr(x, commutator(y, z)) - commutator(tr(x, y), z) - commutator(y, tr(x, z))
-        yield tr(commutator(x, y), z) - (assoc(x, y, z) - assoc(y, x, z))
+        tr = product if product is not None else partial(mat_triangleright, kindv)
+        for _, lhs, rhs in postlie_identities(x, y, z, tr, commutator):
+            yield lhs - rhs
+        db = partial(dbracket, tr=tr, br=commutator)
         yield db(x, db(y, z)) + db(y, db(z, x)) + db(z, db(x, y))
 
     return _sampled_check("postlie-axioms", kind, n, samples, tol, seed, 3, residuals)
@@ -187,28 +173,26 @@ def eval_F(kind, m0, a: Series) -> np.ndarray:
     kindv = _kind(kind)
     m0 = np.asarray(m0, dtype=float)
     _check_square(m0)
-    if a.coeff(EMPTY_FOREST) != 0 or not is_inf_character(a):
-        raise ValueError(
-            "series is not a combination of trees and commutators of trees "
-            "(it fails the shuffle criterion)"
-        )
-
-    @lru_cache(maxsize=None)
-    def value(t: Tree) -> np.ndarray:
-        if not t.children:
-            return m0
-        head = t.children[0]
-        rest = Tree(t.children[1:])
-        out = mat_triangleright(kindv, value(head), value(rest))
-        for attached in graft_attachments(head, rest):
-            if attached != t:
-                out = out - value(attached)
-        return out
-
+    memo = {LEAF: m0}
     total = np.zeros_like(m0)
-    for forest, coeff in a.terms.items():
-        folded = value(forest.trees[0])
+    for forest, coeff in FieldSeries(a).series.terms.items():
+        folded = _tree_value(kindv, forest.trees[0], memo)
         for t in forest.trees[1:]:
-            folded = commutator(folded, value(t))
+            folded = commutator(folded, _tree_value(kindv, t, memo))
         total = total + (float(coeff) / len(forest.trees)) * folded
     return total
+
+
+def _tree_value(kind: str, t: Tree, memo: dict) -> np.ndarray:
+    """F(t) for eval_F; memo maps the trees done so far to F, F(leaf) = m0."""
+    out = memo.get(t)
+    if out is not None:
+        return out
+    head = t.children[0]
+    rest = Tree(t.children[1:])
+    out = mat_triangleright(kind, _tree_value(kind, head, memo), _tree_value(kind, rest, memo))
+    for attached in graft_attachments(head, rest):
+        if attached != t:
+            out = out - _tree_value(kind, attached, memo)
+    memo[t] = out
+    return out

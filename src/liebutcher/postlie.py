@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .series import Series, bilinear, concat, deshuffle_forest
 from .trees import Forest, Tree, enumerate_trees, forest_sort_key
@@ -38,6 +38,7 @@ __all__ = [
     "gl_product",
     "graft",
     "graft_attachments",
+    "postlie_identities",
     "symmetrized_associator_defect",
     "triangleright",
 ]
@@ -131,26 +132,36 @@ def bracket(a: Series, b: Series) -> Series:
     return concat(a, b) - concat(b, a)
 
 
-def dbracket(a: Series, b: Series, extension: GraftExtension | None = None) -> Series:
-    """The second Lie bracket: a |> b - b |> a + [a, b]."""
-    return (
-        triangleright(a, b, extension)
-        - triangleright(b, a, extension)
-        + bracket(a, b)
-    )
-
-
 def gl_product(a: Series, b: Series, extension: GraftExtension | None = None) -> Series:
     """Grossman-Larson product of series."""
     ext = extension if extension is not None else _DEFAULT_EXTENSION
     return bilinear(a, b, ext.gl_basis)
 
 
-def associator(a: Series, b: Series, c: Series, extension: GraftExtension | None = None) -> Series:
+# Generic over the realization: tr is its product |> and br its Lie bracket;
+# None stands for grafting and the concatenation commutator.
+
+
+def associator(a, b, c, tr=None):
     """a |> (b |> c) - (a |> b) |> c."""
-    return triangleright(a, triangleright(b, c, extension), extension) - triangleright(
-        triangleright(a, b, extension), c, extension
-    )
+    tr = tr or triangleright
+    return tr(a, tr(b, c)) - tr(tr(a, b), c)
+
+
+def dbracket(a, b, tr=None, br=None):
+    """The second Lie bracket: a |> b - b |> a + [a, b]."""
+    tr, br = tr or triangleright, br or bracket
+    return tr(a, b) - tr(b, a) + br(a, b)
+
+
+def postlie_identities(x, y, z, tr, br):
+    """The two defining identities at (x, y, z) as (name, lhs, rhs), lazily:
+
+      bracket_rule:     x |> [y,z] = [x |> y, z] + [y, x |> z]
+      associator_rule:  [x,y] |> z = a(x,y,z) - a(y,x,z)
+    """
+    yield "bracket_rule", tr(x, br(y, z)), br(tr(x, y), z) + br(y, tr(x, z))
+    yield "associator_rule", tr(br(x, y), z), associator(x, y, z, tr) - associator(y, x, z, tr)
 
 
 AxiomReport = namedtuple("AxiomReport", ["passed", "triples", "witness"], defaults=[None])
@@ -168,40 +179,28 @@ def _witness(name: str, x: Tree, y: Tree, z: Tree, lhs: Series, rhs: Series) -> 
 
 
 def check_postlie_axioms(max_degree: int, extension: GraftExtension | None = None) -> AxiomReport:
-    """Verify the two defining identities on basis-tree triples.
+    """Verify postlie_identities for grafting on basis-tree triples.
 
-    For all trees x, y, z with total degree <= max_degree:
-      bracket rule:      x |> [y,z] = [x |> y, z] + [y, x |> z]
-      associator rule:   [x,y] |> z = a(x,y,z) - a(y,x,z)
-    Stops at the first violation and reports it.
+    Covers all trees x, y, z with total degree <= max_degree; stops at the
+    first violation and reports it.
     """
+    tr = partial(triangleright, extension=extension)
     trees: list[Tree] = []
     for d in range(1, max_degree - 1):
         trees.extend(enumerate_trees(d))
     singles = {t: Series.of(t) for t in trees}
     count = 0
     for x in trees:
-        sx = singles[x]
         for y in trees:
             if x.degree + y.degree + 1 > max_degree:
                 continue
-            sy = singles[y]
             for z in trees:
                 if x.degree + y.degree + z.degree > max_degree:
                     continue
-                sz = singles[z]
-                lhs1 = triangleright(sx, bracket(sy, sz), extension)
-                rhs1 = bracket(triangleright(sx, sy, extension), sz) + bracket(
-                    sy, triangleright(sx, sz, extension)
-                )
-                if lhs1 != rhs1:
-                    return AxiomReport(False, count, _witness("bracket_rule", x, y, z, lhs1, rhs1))
-                lhs2 = triangleright(bracket(sx, sy), sz, extension)
-                rhs2 = associator(sx, sy, sz, extension) - associator(sy, sx, sz, extension)
-                if lhs2 != rhs2:
-                    return AxiomReport(
-                        False, count, _witness("associator_rule", x, y, z, lhs2, rhs2)
-                    )
+                triple = singles[x], singles[y], singles[z]
+                for name, lhs, rhs in postlie_identities(*triple, tr, bracket):
+                    if lhs != rhs:
+                        return AxiomReport(False, count, _witness(name, x, y, z, lhs, rhs))
                 count += 1
     return AxiomReport(True, count)
 
@@ -231,6 +230,5 @@ def symmetrized_associator_defect(
 ) -> Series:
     """Planarity-forgetting image of a(x,y,z) - a(y,x,z); zero for grafting."""
     sx, sy, sz = Series.of(x), Series.of(y), Series.of(z)
-    return forget_planarity(
-        associator(sx, sy, sz, extension) - associator(sy, sx, sz, extension)
-    )
+    tr = partial(triangleright, extension=extension)
+    return forget_planarity(associator(sx, sy, sz, tr) - associator(sy, sx, sz, tr))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,6 +40,11 @@ __all__ = [
     "shuffle",
     "truncate",
 ]
+
+
+# The coefficient forms to_json writes.  Fraction also reads exponents and
+# decimals, and expands "1e100000" digit by digit, so from_json reads only these.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class TruncationError(ValueError):
@@ -194,6 +200,8 @@ class Series:
         for item in items:
             f = parse_forest(item["forest"])
             try:
+                if not _RATIONAL.fullmatch(item["coeff"]):
+                    raise ValueError
                 terms[f] = terms.get(f, Fraction(0)) + Fraction(item["coeff"])
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"coeff {item['coeff']!r} is not a rational") from None

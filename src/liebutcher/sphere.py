@@ -80,9 +80,9 @@ def unit_vector(v) -> np.ndarray:
     """Validate a sphere point: shape (3,), norm within 1e-12 of 1."""
     y = np.asarray(v, dtype=float)
     if y.shape != (3,):
-        raise ValueError("sphere points live in R^3")
-    if abs(float(np.linalg.norm(y)) - 1.0) > 1e-12:
-        raise ValueError(f"not a unit vector (norm {np.linalg.norm(y)!r})")
+        raise ValueError(f"sphere points live in R^3, got shape {y.shape}")
+    if norm_defect(y) > 1e-12:
+        raise ValueError(f"not a unit vector (norm {float(np.linalg.norm(y))!r})")
     return y
 
 
@@ -158,7 +158,7 @@ def _points(field: AngularField, y0, h: float, steps: int, method):
     """Yield (i*h, y_i) for i = 0..steps, checking the arguments first."""
     step = _stepper(method)
     _check_step(h, steps)
-    y = np.asarray(y0, dtype=float)
+    y = unit_vector(y0)
     yield 0.0, y
     for i in range(1, steps + 1):
         try:

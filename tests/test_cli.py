@@ -114,6 +114,9 @@ class TestProduct:
             ('{"terms": [{"forest": "[]", "coeff": "1/0"}]}', "not a rational"),
             ('{"terms": [{"forest": "[]", "coeff": "x"}]}', "not a rational"),
             ('{"terms": [{"forest": "[]", "coeff": "nan"}]}', "not a rational"),
+            ('{"terms": [{"forest": "[]", "coeff": "1e10000000"}]}', "not a rational"),
+            ('{"terms": [{"forest": "[]", "coeff": "0.5"}]}', "not a rational"),
+            ('{"terms": [{"forest": "[]", "coeff": "+1"}]}', "not a rational"),
             ('{"trunc": "x", "terms": []}', '"trunc"'),
             ('{"trunc": -1, "terms": []}', '"trunc"'),
             ('{"trunc": 2.0, "terms": []}', '"trunc"'),

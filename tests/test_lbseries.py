@@ -14,8 +14,10 @@ from helpers import (
     shuffle_oracle,
 )
 from liebutcher.lbseries import (
+    METHOD_CHARACTERS,
     FieldSeries,
     MethodCharacter,
+    agreement,
     exact_flow_character,
     exp_concat,
     exp_gl,
@@ -433,7 +435,16 @@ class TestOrders:
         assert order_of_agreement(a, a) == 9
         assert first_defect(a, a) is None
 
+    @pytest.mark.parametrize("name, order", [("lie-euler", 1), ("lie-midpoint", 2)])
+    def test_agreement_is_the_order_and_the_first_defect(self, name, order):
+        for n in (0, 1, 3, 5):
+            method, exact = METHOD_CHARACTERS[name](n), exact_flow_character(n)
+            assert agreement(method, exact) == (min(order, n), first_defect(method, exact))
+            assert agreement(method, method) == (n, None)
+
     def test_mismatched_trunc_rejected(self):
+        with pytest.raises(ValueError):
+            agreement(lie_euler_character(3), exact_flow_character(4))
         with pytest.raises(ValueError):
             order_of_agreement(lie_euler_character(3), exact_flow_character(4))
         with pytest.raises(ValueError):

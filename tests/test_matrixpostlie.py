@@ -1,13 +1,16 @@
+import gc
+from functools import partial
+
 import numpy as np
 import pytest
 
 from helpers import S
+from liebutcher.lbseries import field_generator, magnus_chi
 from liebutcher.matrixpostlie import (
     check_matrix_postlie_axioms,
     check_projection_identity,
     commutator,
     eval_F,
-    mat_dbracket,
     mat_triangleright,
     project_minus,
     project_plus,
@@ -208,7 +211,7 @@ class TestEvalF:
                         rhs = mat_triangleright(kind, fa, fb)
                         assert np.allclose(lhs, rhs, atol=1e-12)
                         lhs2 = eval_F(kind, self.m0, dbracket(sa, sb))
-                        rhs2 = mat_dbracket(kind, fa, fb)
+                        rhs2 = dbracket(fa, fb, partial(mat_triangleright, kind), commutator)
                         assert np.allclose(lhs2, rhs2, atol=1e-12)
 
     def test_rejects_bare_word(self):
@@ -218,3 +221,15 @@ class TestEvalF:
     def test_rejects_constant_term(self):
         with pytest.raises(ValueError):
             eval_F("lu", self.m0, Series.unit() + S("[]"))
+
+    def test_calls_leave_no_garbage_cycles(self):
+        chi = magnus_chi(field_generator(5), 5).series
+        eval_F("lu", self.m0, chi)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                eval_F("lu", self.m0, chi)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

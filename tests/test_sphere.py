@@ -164,10 +164,23 @@ class TestUnitVector:
         assert np.array_equal(unit_vector(Y0), Y0)
 
     def test_rejects_off_sphere(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^not a unit vector \(norm 1\.7320508075688772\)$"):
             unit_vector([1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             unit_vector([1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "y0, message",
+        [([1.0, 1.0, 1.0], "not a unit vector"), ([1.0, 0.0], r"R\^3, got shape \(2,\)")],
+    )
+    def test_integrators_check_the_start_point(self, y0, message):
+        for run in (
+            lambda: trajectory(FIELD, y0, 0.1, 3),
+            lambda: integrate(FIELD, y0, 0.1, 3, "lie-midpoint"),
+            lambda: convergence_study(FIELD, y0, 0.4, "lie-euler", [0.1, 0.05, 0.025], 2),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run()
 
 
 class TestConvergence:
