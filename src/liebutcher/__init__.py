@@ -7,9 +7,11 @@ Magnus-type map chi translates between them.  Concrete realizations on
 matrix splittings and on the unit sphere turn the symbolic calculus into
 checkable numerics.
 
-Only the numeric realizations need numpy.  They load on first use: the
-names below resolve through a module __getattr__, so `import liebutcher`
-and the symbolic layers never import numpy.
+The numeric realizations load on first use: the names below resolve
+through a module __getattr__, so `import liebutcher` and the symbolic
+layers never import numpy.  Of the numeric layers, the matrix realization
+imports numpy; the sphere steps run in plain floats, and only its matrix
+forms `hat`/`rot_exp` and `rigid_body_field` import numpy.
 """
 
 import importlib

@@ -3,8 +3,9 @@
 Every subcommand has a human text mode and a machine JSON mode; output is
 deterministic for fixed inputs and seeds because all series printing uses
 the canonical forest order.  Exit codes: 0 success, 1 domain error
-(diagnostic on stderr), 2 usage error.  The numeric layers, and with them
-numpy, are imported only by the subcommands that run them.
+(diagnostic on stderr), 2 usage error.  The numeric layers are imported
+only by the subcommands that run them, and only `axioms --target matrix`
+imports numpy.
 """
 
 from __future__ import annotations
@@ -175,16 +176,21 @@ def _cmd_axioms(args) -> int:
 
 def _rigid_body():
     """The sphere problem: (field, y0) of the free rigid body with inertia
-    (1, 2, 3), started at (1, 1, 1)/sqrt(3)."""
-    from . import sphere
-    return sphere.rigid_body_field((1.0, 2.0, 3.0)), [1.0 / math.sqrt(3.0)] * 3
+    (1, 2, 3), started at (1, 1, 1)/sqrt(3).  The field is
+    sphere.rigid_body_field((1, 2, 3)) in plain floats, the same products."""
+    i1, i2, i3 = (1.0 / moment for moment in (1.0, 2.0, 3.0))
+
+    def omega(y):
+        return (i1 * y[0], i2 * y[1], i3 * y[2])
+
+    return omega, [1.0 / math.sqrt(3.0)] * 3
 
 
 def _cmd_integrate(args) -> int:
     from . import sphere
     field, y0 = _rigid_body()
     points = sphere.trajectory(field, y0, args.h, args.steps, args.method)
-    rows = ([repr(v) for v in (t, *y.tolist(), sphere.norm_defect(y))] for t, y in points)
+    rows = ([repr(v) for v in (t, *y, sphere.norm_defect(y))] for t, y in points)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -196,7 +202,7 @@ def _cmd_integrate(args) -> int:
                 "method": args.method,
                 "h": args.h,
                 "steps": args.steps,
-                "final": points[-1][1].tolist(),
+                "final": points[-1][1],
                 "max_norm_defect": max(sphere.norm_defect(y) for _, y in points),
             }
         )

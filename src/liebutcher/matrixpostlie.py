@@ -155,7 +155,7 @@ def check_matrix_postlie_axioms(
     return _sampled_check("postlie-axioms", kind, n, samples, tol, seed, 3, residuals)
 
 
-def eval_F(kind, m0, a: Series) -> np.ndarray:
+def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     """Evaluate the tree-to-matrix morphism that sends the one-node tree to m0.
 
     Trees are resolved by inverting the grafting relation: for a tree whose
@@ -168,14 +168,16 @@ def eval_F(kind, m0, a: Series) -> np.ndarray:
     Words of length k >= 2 must assemble into expanded commutators; the
     whole input is required to vanish on shuffles (the exact criterion for
     being such a combination) and each word is then folded with left-nested
-    commutators and weight 1/k, which reproduces the element.
+    commutators and weight 1/k, which reproduces the element.  A
+    FieldSeries is taken as already checked.
     """
     kindv = _kind(kind)
     m0 = np.asarray(m0, dtype=float)
     _check_square(m0)
     memo = {LEAF: m0}
     total = np.zeros_like(m0)
-    for forest, coeff in FieldSeries(a).series.terms.items():
+    field = a if isinstance(a, FieldSeries) else FieldSeries(a)
+    for forest, coeff in field.series.terms.items():
         folded = _tree_value(kindv, forest.trees[0], memo)
         for t in forest.trees[1:]:
             folded = commutator(folded, _tree_value(kindv, t, memo))

@@ -6,9 +6,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from liebutcher.lbseries import Defect, field_generator
 from liebutcher.postlie import GraftExtension, bracket
 from liebutcher.series import Series, deshuffle, min_trunc, shuffle
+from liebutcher.sphere import ConvergenceError, rot_exp
 from liebutcher.trees import (
     EMPTY_FOREST,
     Forest,
@@ -216,3 +219,37 @@ def iterated_lie_midpoint_field(n: int) -> Series:
             flow = flow + power
         k = fraction_bilinear(flow, hgen, graft)
     return k
+
+
+def matrix_step_lie_euler(field, y0, h):
+    """Lie-Euler oracle with the rotation formed as a matrix:
+    y1 = rot_exp(h omega(y0)) @ y0, all in numpy."""
+    y0 = np.asarray(y0, dtype=float)
+    return rot_exp(h * np.asarray(field(y0), dtype=float)) @ y0
+
+
+def matrix_step_lie_midpoint(field, y0, h, tol=1e-13, maxit=50):
+    """Lie-midpoint oracle with matrix rotations: K = h omega(rot_exp(K/2) @ y0)
+    by fixed-point iteration from K = h omega(y0), then y1 = rot_exp(K) @ y0."""
+    y0 = np.asarray(y0, dtype=float)
+    k = h * np.asarray(field(y0), dtype=float)
+    residual = float("inf")
+    for _ in range(maxit):
+        knext = h * np.asarray(field(rot_exp(0.5 * k) @ y0), dtype=float)
+        residual = float(np.linalg.norm(knext - k))
+        k = knext
+        if residual <= tol:
+            return rot_exp(k) @ y0
+    raise ConvergenceError(f"matrix midpoint stage did not reach {tol:g}", residual)
+
+
+MATRIX_STEPPERS = {"lie-euler": matrix_step_lie_euler, "lie-midpoint": matrix_step_lie_midpoint}
+
+
+def matrix_integrate(field, y0, h, steps, method):
+    """The last of `steps` oracle steps of `method` from y0, as an array."""
+    step = MATRIX_STEPPERS[method]
+    y = np.asarray(y0, dtype=float)
+    for _ in range(steps):
+        y = step(field, y, h)
+    return y

@@ -1,10 +1,12 @@
 import csv
 import json
+import math
+import random
 
 import pytest
 
 from liebutcher import sphere
-from liebutcher.cli import main
+from liebutcher.cli import _rigid_body, main
 from liebutcher.trees import MAX_DEPTH, DegreeCapError, check_degree
 
 
@@ -354,6 +356,15 @@ class TestAxioms:
 
 
 class TestIntegrateAndConverge:
+    def test_float_field_is_the_library_field(self):
+        field, _ = _rigid_body()
+        array_field = sphere.rigid_body_field((1, 2, 3))
+        rng = random.Random(6)
+        for _ in range(1000):
+            v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            y = tuple(c / math.hypot(*v) for c in v)
+            assert field(y) == tuple(array_field(y).tolist())
+
     def test_csv_file(self, capsys, tmp_path):
         path = tmp_path / "run.csv"
         code, out, _ = run(

@@ -58,10 +58,28 @@ def test_symbolic_subcommands_stay_symbolic(argv):
     assert loaded_after(setup) == []
 
 
-def test_a_numeric_subcommand_loads_numpy():
-    argv = ["integrate", "--method", "lie-euler", "--h", "0.1", "--steps", "1"]
-    setup = f"from liebutcher import cli\ncli.main({argv!r})"
-    assert set(loaded_after(setup)) >= {"numpy", "liebutcher.sphere"}
+INTEGRATE = ["integrate", "--method", "lie-midpoint", "--h", "0.1", "--steps", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        INTEGRATE,
+        [*INTEGRATE, "--format", "json"],
+        [*INTEGRATE, "--csv", "{csv}"],
+        ["converge", "--method", "lie-euler", "--hs", "0.1,0.05,0.025", "--refine", "2"],
+    ],
+)
+def test_sphere_subcommands_step_without_numpy(argv, tmp_path):
+    argv = [arg.format(csv=tmp_path / "run.csv") for arg in argv]
+    setup = f"from liebutcher import cli\nassert cli.main({argv!r}) == 0"
+    assert loaded_after(setup) == ["liebutcher.sphere"]
+
+
+def test_the_matrix_subcommand_loads_numpy():
+    argv = ["axioms", "--target", "matrix", "--kind", "lu", "--n", "3", "--samples", "2"]
+    setup = f"from liebutcher import cli\nassert cli.main({argv!r}) == 0"
+    assert set(loaded_after(setup)) >= {"numpy", "liebutcher.matrixpostlie"}
 
 
 def test_numeric_names_resolve_from_their_submodule():

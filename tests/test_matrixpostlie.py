@@ -214,6 +214,11 @@ class TestEvalF:
                         rhs2 = dbracket(fa, fb, partial(mat_triangleright, kind), commutator)
                         assert np.allclose(lhs2, rhs2, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_field_series_is_taken_as_checked(self, kind):
+        chi = magnus_chi(field_generator(3), 3)
+        assert np.array_equal(eval_F(kind, self.m0, chi), eval_F(kind, self.m0, chi.series))
+
     def test_rejects_bare_word(self):
         with pytest.raises(ValueError):
             eval_F("lu", self.m0, S("[] []"))

@@ -1,10 +1,16 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from helpers import MATRIX_STEPPERS, matrix_integrate
+from liebutcher.cli import _rigid_body
 from liebutcher.sphere import (
+    STEPPERS,
     ConvergenceError,
+    _rotate,
+    _slope,
     convergence_study,
     hat,
     integrate,
@@ -136,7 +142,7 @@ class TestTrajectory:
     def test_integrate_returns_last_point(self):
         for method in ("lie-euler", "lie-midpoint"):
             final = integrate(FIELD, Y0, 0.1, 5, method)
-            assert final.tobytes() == trajectory(FIELD, Y0, 0.1, 5, method)[-1][1].tobytes()
+            assert final == trajectory(FIELD, Y0, 0.1, 5, method)[-1][1]
 
     @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
     def test_rejects_bad_step(self, h):
@@ -156,7 +162,13 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="steps"):
             integrate(FIELD, Y0, 0.1, -1)
         assert [t for t, _ in trajectory(FIELD, Y0, 0.1, 0)] == [0.0]
-        assert integrate(FIELD, Y0, 0.1, 0).tolist() == list(Y0)
+        assert integrate(FIELD, Y0, 0.1, 0) == tuple(Y0)
+
+    @pytest.mark.parametrize("method", ["lie-euler", "lie-midpoint"])
+    def test_points_are_float_tuples(self, method):
+        # the array-valued field is read component by component
+        for _, y in trajectory(FIELD, Y0, 0.1, 3, method):
+            assert type(y) is tuple and [type(c) for c in y] == [float] * 3
 
 
 class TestUnitVector:
@@ -171,7 +183,29 @@ class TestUnitVector:
 
     @pytest.mark.parametrize(
         "y0, message",
-        [([1.0, 1.0, 1.0], "not a unit vector"), ([1.0, 0.0], r"R\^3, got shape \(2,\)")],
+        [
+            ([math.nan, 0.0, 0.0], r"^not a unit vector \(norm nan\)$"),
+            (5.0, r"R\^3, got shape \(\)$"),
+            (np.eye(3), r"R\^3, got shape \(3, 3\)$"),
+            ([[1.0, 0.0, 0.0]] * 3, r"R\^3, got shape \(3, 3\)$"),
+            ([1.0, 0.0], r"R\^3, got shape \(2,\)$"),
+            (np.array(5.0), r"R\^3, got shape \(\)$"),
+            ("100", r"R\^3, got shape \(\)$"),
+            (["a", 0.0, 0.0], "could not convert string to float"),
+            ([1j, 0.0, 0.0], "components must be real numbers"),
+        ],
+    )
+    def test_bad_points_are_value_errors(self, y0, message):
+        with pytest.raises(ValueError, match=message):
+            unit_vector(y0)
+
+    @pytest.mark.parametrize(
+        "y0, message",
+        [
+            ([1.0, 1.0, 1.0], "not a unit vector"),
+            ([1.0, 0.0], r"R\^3, got shape \(2,\)"),
+            ([math.nan, 0.0, 0.0], r"not a unit vector \(norm nan\)"),
+        ],
     )
     def test_integrators_check_the_start_point(self, y0, message):
         for run in (
@@ -195,6 +229,13 @@ class TestConvergence:
             FIELD, Y0, 0.5, "lie-midpoint", [1 / 10, 1 / 20, 1 / 40], refine=16
         )["slope"]
         assert 1.8 <= slope <= 2.2
+
+    def test_slope_is_the_least_squares_fit(self):
+        rng = random.Random(5)
+        for n in (3, 4, 7):
+            xs = [math.log(2.0 ** -k) for k in range(n)]
+            ys = [2.0 * x + rng.uniform(-0.3, 0.3) for x in xs]
+            assert abs(_slope(xs, ys) - np.polyfit(xs, ys, 1)[0]) <= 1e-12
 
     def test_reference_against_itself_is_exact(self):
         report = convergence_study(
@@ -234,3 +275,46 @@ class TestConvergence:
         )
         assert list(report) == ["method", "h", "errors", "slope"]
         assert report["method"] == "lie-euler"
+
+
+def _random_unit(rng, scale=1.0):
+    v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+    n = math.hypot(*v)
+    return tuple(scale * c / n for c in v)
+
+
+class TestMatrixOracle:
+    """The float steps against the matrix forms they replace."""
+
+    def test_rotation_matches_the_matrix_form(self):
+        rng = random.Random(3)
+        small = 0
+        for _ in range(3000):
+            theta = 10 ** rng.uniform(-9.0, math.log10(30.0))
+            small += theta < 1e-6
+            w, v = _random_unit(rng, theta), _random_unit(rng)
+            got = _rotate(w, v)
+            want = rot_exp(w) @ np.array(v)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
+        assert small >= 500  # the series branch is exercised
+        assert _rotate((0.0, 0.0, 0.0), (0.6, 0.0, 0.8)) == (0.6, 0.0, 0.8)
+
+    @pytest.mark.parametrize("method", ["lie-euler", "lie-midpoint"])
+    def test_one_step_matches_the_oracle(self, method):
+        rng = random.Random(4)
+        step = STEPPERS[method]
+        for _ in range(200):
+            y0 = _random_unit(rng)
+            h = rng.choice([0.004, 0.05, 0.2])
+            got = step(FIELD, y0, h)
+            want = MATRIX_STEPPERS[method](FIELD, y0, h)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
+
+    @pytest.mark.parametrize("method, steps", [("lie-euler", 20000), ("lie-midpoint", 10000)])
+    @pytest.mark.parametrize("h", [0.004, 0.005, 0.006, 0.008])
+    def test_long_runs_match_the_oracle(self, method, steps, h):
+        # the command-line problem: float field on the fast path, array field on the oracle
+        field, y0 = _rigid_body()
+        got = integrate(field, y0, h, steps, method)
+        want = matrix_integrate(FIELD, y0, h, steps, method)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
