@@ -54,7 +54,11 @@ def _load_operand(text: str, degree: int | None) -> Series:
     except ForestParseError as err:
         if os.path.exists(text):
             with open(text, encoding="utf-8") as fh:
-                s = Series.from_json(json.load(fh))
+                try:
+                    data = json.load(fh)
+                except RecursionError:
+                    raise ValueError(f"{text}: JSON nested too deeply") from None
+            s = Series.from_json(data)
             return s.truncated(degree) if degree is not None else s
         raise ForestParseError(f"{err} and no such file: {text!r}", err.offset) from None
     return Series.of(forest, 1, degree)

@@ -11,11 +11,14 @@ and the Magnus-type map chi links the two: exp_concat(a) = exp_gl(chi(a)).
 Both predicates read the deshuffle coproduct instead of evaluating on
 shuffles: <a, u sh v> is the weight of (u, v) in deshuffle(a), so a is a
 character iff deshuffle(a) = a (x) a and infinitesimal iff its coproduct is
-a (x) 1 + 1 (x) a (Friedrichs' criterion).  Both exponentials and the
-logarithm share one power-series loop.  The midpoint stage is a graded
-fixed point: round r solves at truncation r only, so the rounds cost the
-sum of their own truncations' costs; every product runs through the graded
-integer kernel series.bilinear.
+a (x) 1 + 1 (x) a (Friedrichs' criterion).  Past the constant term, the
+field check sums integer weights on the proper splits (both sides
+non-empty) only, since no other split can break the criterion; it reads
+the per-forest memo series.deshuffle_forest, which is built letter by
+letter.  Both exponentials and the logarithm share one power-series loop.
+The midpoint stage is a graded fixed point: round r solves at truncation r
+only, so the rounds cost the sum of their own truncations' costs; every
+product runs through the graded integer kernel series.bilinear.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .postlie import gl_product, triangleright
-from .series import Series, concat, deshuffle
+from .series import Series, concat, deshuffle, deshuffle_forest
 from .trees import EMPTY_FOREST, LEAF, forest_sort_key
 
 __all__ = [
@@ -62,8 +65,25 @@ def _bound(a: Series) -> int:
 
 
 def is_inf_character(a: Series) -> bool:
-    """True iff a kills 1 and u sh v for u, v != 1: deshuffle(a) = a (x) 1 + 1 (x) a."""
-    return all(bool(u.trees) != bool(v.trees) for u, v in deshuffle(a))
+    """True iff a kills 1 and u sh v for u, v != 1: deshuffle(a) = a (x) 1 + 1 (x) a.
+
+    The trivial splits (1, f) and (f, 1) always meet the criterion, and a
+    single tree has no other, so only forests of two or more trees are read.
+    Their weights are integer numerators over the lcm of a's denominators,
+    summed per proper split (both sides non-empty); every sum must be 0.
+    """
+    if a.terms.get(EMPTY_FOREST):
+        return False
+    den = math.lcm(*(c.denominator for c in a.terms.values()))
+    sums: dict = {}
+    for f, c in a.terms.items():
+        if len(f.trees) < 2:
+            continue
+        w = c.numerator * (den // c.denominator)
+        for (u, v), m in deshuffle_forest(f):
+            if u.trees and v.trees:
+                sums[u, v] = sums.get((u, v), 0) + w * m
+    return not any(sums.values())
 
 
 def is_character(a: Series) -> bool:

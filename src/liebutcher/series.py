@@ -14,7 +14,6 @@ that survive truncation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -294,18 +293,19 @@ def shuffle(a: Series, b: Series) -> Series:
 def deshuffle_forest(f: Forest) -> tuple[tuple[tuple[Forest, Forest], int], ...]:
     """All order-preserving two-block splits of the letters of f, with multiplicity.
 
-    This is the coproduct dual to the shuffle product.
+    This is the coproduct dual to the shuffle product.  The splits are built
+    letter by letter: each tree goes to the left or to the right block of
+    every split of the letters before it, and equal splits merge at once, so
+    a word of k equal letters passes through O(k^2) splits, not 2^k subsets.
     """
-    k = len(f.trees)
-    acc: dict[tuple[Forest, Forest], int] = {}
-    for r in range(k + 1):
-        for idx in itertools.combinations(range(k), r):
-            chosen = set(idx)
-            left = Forest(tuple(f.trees[i] for i in idx))
-            right = Forest(tuple(f.trees[i] for i in range(k) if i not in chosen))
-            key = (left, right)
-            acc[key] = acc.get(key, 0) + 1
-    return tuple(acc.items())
+    splits = {(EMPTY_FOREST, EMPTY_FOREST): 1}
+    for t in f.trees:
+        grown: dict[tuple[Forest, Forest], int] = {}
+        for (left, right), m in splits.items():
+            for key in ((Forest(left.trees + (t,)), right), (left, Forest(right.trees + (t,)))):
+                grown[key] = grown.get(key, 0) + m
+        splits = grown
+    return tuple(splits.items())
 
 
 def deshuffle(a: Series) -> dict[tuple[Forest, Forest], Fraction]:

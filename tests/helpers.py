@@ -83,6 +83,21 @@ def shuffle_oracle(u: Forest, v: Forest) -> dict[Forest, int]:
     return out
 
 
+def subset_deshuffle_forest(f: Forest) -> tuple[tuple[tuple[Forest, Forest], int], ...]:
+    """Coproduct oracle: every subset of letter positions goes left, the rest
+    right, in order; 2^k subsets for k letters."""
+    k = len(f.trees)
+    acc: dict[tuple[Forest, Forest], int] = {}
+    for r in range(k + 1):
+        for idx in itertools.combinations(range(k), r):
+            chosen = set(idx)
+            left = Forest(tuple(f.trees[i] for i in idx))
+            right = Forest(tuple(f.trees[i] for i in range(k) if i not in chosen))
+            key = (left, right)
+            acc[key] = acc.get(key, 0) + 1
+    return tuple(acc.items())
+
+
 def random_lie_monomial(rng: random.Random, degree: int) -> Series:
     """A tree or a nested concatenation-commutator of exact total degree."""
     if degree <= 1 or rng.random() < 0.4:

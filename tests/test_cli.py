@@ -133,6 +133,20 @@ class TestProduct:
         assert out == ""
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize(
+        "body",
+        ["[" * 100_000 + "]" * 100_000, '{"terms": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+        ids=["array", "terms"],
+    )
+    def test_deeply_nested_series_file(self, capsys, tmp_path, body):
+        path = tmp_path / "deep.json"
+        path.write_text(body)
+        code, out, err = run(capsys, "graft", str(path), "[]")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert "Traceback" not in err
+
 
 class TestExpAndMagnus:
     def test_exp_concat_default_input(self, capsys):

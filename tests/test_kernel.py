@@ -22,6 +22,7 @@ from helpers import (
     random_lie_series,
 )
 from liebutcher.lbseries import (
+    FieldSeries,
     exp_concat,
     field_generator,
     is_character,
@@ -29,7 +30,7 @@ from liebutcher.lbseries import (
     lie_midpoint_field,
     magnus_chi,
 )
-from liebutcher.postlie import GraftExtension
+from liebutcher.postlie import GraftExtension, bracket
 from liebutcher.series import Series, _concat_basis, _shuffle_basis, bilinear
 from liebutcher.trees import EMPTY_FOREST, Forest, enumerate_forests
 
@@ -166,6 +167,44 @@ class TestPredicatesAgainstFractionCoproduct:
                 p = _perturb(s, rng.choice(words), Fraction(rng.choice((-3, 1, 2)), rng.randint(1, 7)))
                 assert not is_inf_character(p) and not fraction_is_inf_character(p)
                 assert not is_character(p) and not fraction_is_character(p)
+
+
+class TestFieldCheckInIntegers:
+    """is_inf_character sums integer weights over proper splits only."""
+
+    @staticmethod
+    def _agree(s, expected):
+        assert is_inf_character(s) is expected
+        assert fraction_is_inf_character(s) is expected
+
+    def test_chi_8_and_a_perturbed_word(self):
+        chi = magnus_chi(field_generator(8), 8, validate=False).series
+        self._agree(chi, True)
+        self._agree(_perturb(chi, F("[[]] [] [[]]"), Fraction(1, 7)), False)
+
+    def test_zero_and_constant_term(self):
+        self._agree(Series.zero(), True)
+        self._agree(Series.zero(3), True)
+        self._agree(S("[]") + S("1", Fraction(1, 2)), False)
+
+    def test_exact_commutator(self):
+        comm = bracket(S("[]"), bracket(S("[[]]"), S("[[] []]")))
+        assert comm.trunc is None and len(comm.terms) == 4
+        self._agree(comm, True)
+
+    def test_single_trees_only(self):
+        self._agree(S("[]", 3) + S("[[] []]", Fraction(-5, 2)) + S("[[[]]]", 7), True)
+
+    def test_cancellation_across_denominators(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        self._agree(S("[] [[]]", half) - S("[[]] []", half), True)
+        self._agree(S("[] [[]]", half) - S("[[]] []", third), False)
+
+    def test_field_series_refusals_keep_their_messages(self):
+        with pytest.raises(ValueError, match="a field series must have zero constant term"):
+            FieldSeries(S("1") + S("[]"))
+        with pytest.raises(ValueError, match="series does not vanish on shuffles"):
+            FieldSeries(S("[] [[]]", Fraction(1, 2)) - S("[[]] []", Fraction(1, 3)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,12 @@
 import json
+import math
+import signal
+import sys
 from fractions import Fraction
 
 import pytest
 
-from helpers import F, S, shuffle_oracle
+from helpers import F, S, shuffle_oracle, subset_deshuffle_forest
 from liebutcher.series import (
     Series,
     TruncationError,
@@ -17,6 +20,11 @@ from liebutcher.series import (
 from liebutcher.trees import EMPTY_FOREST, enumerate_forests
 
 UNIT = Series.unit()
+
+
+def leaves(k):
+    """The forest of k one-node trees."""
+    return F(" ".join(["[]"] * k) or "1")
 
 
 def forests_up_to(n):
@@ -153,6 +161,41 @@ class TestDeshuffle:
             (F("[[]]"), F("[]")): 1,
             (F("[] [[]]"), F("1")): 1,
         }
+
+    def test_letter_loop_matches_subset_oracle(self):
+        for f in forests_up_to(8):
+            assert dict(deshuffle_forest(f)) == dict(subset_deshuffle_forest(f)), f
+
+    def test_repeated_letter_multiplicities(self):
+        assert dict(deshuffle_forest(leaves(3))) == {
+            (leaves(0), leaves(3)): 1,
+            (leaves(1), leaves(2)): 3,
+            (leaves(2), leaves(1)): 3,
+            (leaves(3), leaves(0)): 1,
+        }
+
+    def test_forty_equal_letters_without_recursion(self):
+        # the subset oracle would take 2^40 steps here, so an alarm fails a
+        # return to it instead of hanging; the lowered recursion limit fails
+        # a version that recurses once per letter
+        def too_slow(signum, frame):
+            raise TimeoutError("deshuffle_forest of 40 letters took over 10 s")
+
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        handler = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)
+        sys.setrecursionlimit(depth + 20)
+        try:
+            splits = deshuffle_forest.__wrapped__(leaves(40))
+        finally:
+            sys.setrecursionlimit(limit)
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert len(splits) == 41
+        assert dict(splits) == {(leaves(i), leaves(40 - i)): math.comb(40, i) for i in range(41)}
 
     def test_duality_with_shuffle(self):
         for n in range(0, 5):
