@@ -98,6 +98,8 @@ def _sampled_check(check: str, kind, n: int, samples: int, tol: float, seed: int
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     kindv = _kind(kind)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -87,6 +87,8 @@ class Series:
     __slots__ = ("terms", "trunc")
 
     def __init__(self, terms: dict[Forest, Fraction] | None = None, trunc: int | None = None):
+        if trunc is not None and trunc < 0:
+            raise ValueError(f"truncation degree must be >= 0, got {trunc}")
         clean: dict[Forest, Fraction] = {}
         if terms:
             for forest, coeff in terms.items():

@@ -323,6 +323,14 @@ class TestAxioms:
         assert out == ""
         assert err.startswith("error:") and f"n must be >= 2, got {n}" in err
 
+    def test_matrix_rejects_negative_seed(self, capsys):
+        code, out, err = run(
+            capsys, "axioms", "--target", "matrix", "--kind", "qr", "--seed", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "seed must be >= 0, got -1" in err
+
     def test_matrix_rejects_negative_degree(self, capsys):
         code, out, err = run(
             capsys, "axioms", "--target", "matrix", "--kind", "lu", "--degree", "-1"

@@ -23,10 +23,12 @@ from helpers import (
 )
 from liebutcher.lbseries import (
     FieldSeries,
+    exact_flow_character,
     exp_concat,
     field_generator,
     is_character,
     is_inf_character,
+    lie_midpoint_character,
     lie_midpoint_field,
     magnus_chi,
 )
@@ -167,6 +169,13 @@ class TestPredicatesAgainstFractionCoproduct:
                 p = _perturb(s, rng.choice(words), Fraction(rng.choice((-3, 1, 2)), rng.randint(1, 7)))
                 assert not is_inf_character(p) and not fraction_is_inf_character(p)
                 assert not is_character(p) and not fraction_is_character(p)
+
+    @pytest.mark.parametrize("build", [lie_midpoint_character, exact_flow_character])
+    def test_degree_7_flows_and_a_perturbed_word(self, build):
+        s = build(7).series
+        assert is_character(s) and fraction_is_character(s)
+        p = _perturb(s, F("[[]] [[[]]]"), Fraction(-2, 3))
+        assert not is_character(p) and not fraction_is_character(p)
 
 
 class TestFieldCheckInIntegers:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,26 @@ class TestPredicates:
         assert not is_character(Series.unit(4) + Series.of("[[]]", 1, 4))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: exp_concat(field_generator(3), n),
+        lambda n: exp_gl(field_generator(3), n),
+        lambda n: magnus_chi(field_generator(3), n),
+        lie_euler_character,
+        lie_midpoint_field,
+        Series.zero,
+    ],
+    ids=[
+        "exp_concat", "exp_gl", "magnus_chi", "lie_euler_character", "lie_midpoint_field",
+        "Series.zero",
+    ],
+)
+def test_negative_truncation_is_refused(build):
+    with pytest.raises(ValueError, match="truncation degree must be >= 0, got -1"):
+        build(-1)
+
+
 class TestWrappers:
     def test_field_series_rejects_constant_term(self):
         with pytest.raises(ValueError):
@@ -154,6 +175,12 @@ class TestPredicatesAgainstOracle:
             Series.unit(0),
             Series.zero(0),
             2 * Series.unit(0),
+            Series.of("[]", 1, 3),  # constant term 0 but nonzero: no character
+            # a top-degree single tree is read by no pair: still a character
+            exp_concat(field_generator(4), 4).series + S("[[[[]]]]", Fraction(1, 3), 4),
+            # exact at support degree 2: only <a, [] sh []> = a([])^2 is read
+            UNIT + S("[]") + S("[] []", HALF),
+            UNIT + S("[]") + S("[] []", Fraction(1, 3)),
         ],
         ids=[
             "zero-exact",
@@ -165,10 +192,25 @@ class TestPredicatesAgainstOracle:
             "unit-trunc0",
             "zero-trunc0",
             "twice-unit-trunc0",
+            "tree-no-constant",
+            "exp-plus-top-tree",
+            "exact-half-word",
+            "exact-third-word",
         ],
     )
     def test_edges(self, s):
         _assert_predicates_match_oracle(s)
+
+    def test_sparse_non_character_is_refused_fast(self):
+        # the full concatenation logarithm of this series takes seconds; the
+        # lower half already fails at degree 2
+        s = Series.unit(14)
+        for d in (1, 2, 3):
+            for t in enumerate_trees(d):
+                s = s + Series.of(t)
+        start = time.perf_counter()
+        assert not is_character(s)
+        assert time.perf_counter() - start < 1.0
 
 
 @st.composite

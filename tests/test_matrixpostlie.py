@@ -159,6 +159,11 @@ class TestChecks:
         with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
             check("qr", n, samples=5)
 
+    @pytest.mark.parametrize("check", [check_projection_identity, check_matrix_postlie_axioms])
+    def test_rejects_negative_seed(self, check):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            check("qr", 3, samples=5, seed=-1)
+
     def test_seed_reproducibility(self):
         a = check_projection_identity("qr", 3, samples=10, seed=77)
         b = check_projection_identity("qr", 3, samples=10, seed=77)
