@@ -7,57 +7,42 @@ Magnus-type map chi translates between them.  Concrete realizations on
 matrix splittings and on the unit sphere turn the symbolic calculus into
 checkable numerics.
 
-The numeric realizations load on first use: the names below resolve
-through a module __getattr__, so `import liebutcher` and the symbolic
-layers never import numpy.  Of the numeric layers, the matrix realization
-imports numpy; the sphere steps run in plain floats, and only its matrix
-forms `hat`/`rot_exp` and `rigid_body_field` import numpy.
+Every layer loads on first use: `import liebutcher` loads no submodule,
+and each name below resolves through a module __getattr__ that imports
+only the submodule defining it.  So a sphere integration never compiles
+the symbolic layers, and nothing symbolic imports numpy.  Of the numeric
+layers, the matrix realization imports numpy; the sphere steps run in
+plain floats, and only its matrix forms `hat`/`rot_exp` and
+`rigid_body_field` import numpy.
 """
 
 import importlib
 
-from .lbseries import (
-    FieldSeries,
-    MethodCharacter,
-    exact_flow_character,
-    exp_concat,
-    exp_gl,
-    field_generator,
-    first_defect,
-    is_character,
-    is_inf_character,
-    lie_euler_character,
-    lie_midpoint_character,
-    lie_midpoint_field,
-    log_gl,
-    magnus_chi,
-    order_of_agreement,
-)
-from .postlie import (
-    bracket,
-    check_postlie_axioms,
-    dbracket,
-    gl_product,
-    graft,
-    triangleright,
-)
-from .series import Series, TruncationError, concat, deshuffle, pairing, shuffle, truncate
-from .trees import (
-    DegreeCapError,
-    Forest,
-    ForestParseError,
-    Tree,
-    enumerate_forests,
-    enumerate_trees,
-    parse_forest,
-    render_forest,
-)
-
 __version__ = "0.1.0"
 
-# Numeric re-exports, name -> submodule.  Each access reads the submodule's
-# attribute (no copy is bound here), so a patched attribute is seen.
-_NUMERIC = {
+# Public name -> submodule.  Each access reads the submodule's attribute (no
+# copy is bound here), so a patched attribute is seen.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("DegreeCapError", "Forest", "ForestParseError", "Tree", "enumerate_forests",
+         "enumerate_trees", "parse_forest", "render_forest"),
+        "trees",
+    ),
+    **dict.fromkeys(
+        ("Series", "TruncationError", "concat", "deshuffle", "pairing", "shuffle", "truncate"),
+        "series",
+    ),
+    **dict.fromkeys(
+        ("bracket", "check_postlie_axioms", "dbracket", "gl_product", "graft", "triangleright"),
+        "postlie",
+    ),
+    **dict.fromkeys(
+        ("FieldSeries", "MethodCharacter", "exact_flow_character", "exp_concat", "exp_gl",
+         "field_generator", "first_defect", "is_character", "is_inf_character",
+         "lie_euler_character", "lie_midpoint_character", "lie_midpoint_field", "log_gl",
+         "magnus_chi", "order_of_agreement"),
+        "lbseries",
+    ),
     **dict.fromkeys(
         ("check_matrix_postlie_axioms", "check_projection_identity", "eval_F",
          "mat_triangleright", "project_minus", "project_plus"),
@@ -70,10 +55,17 @@ _NUMERIC = {
     ),
 }
 
+# `from liebutcher import *` binds the symbolic names only, so it loads no numpy.
+__all__ = [name for name, module in _EXPORTS.items() if module not in ("matrixpostlie", "sphere")]
+
 
 def __getattr__(name):
-    if name in ("matrixpostlie", "sphere"):
+    if name in _EXPORTS.values():
         return importlib.import_module(f".{name}", __name__)
-    if name in _NUMERIC:
-        return getattr(importlib.import_module(f".{_NUMERIC[name]}", __name__), name)
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -3,32 +3,24 @@
 Every subcommand has a human text mode and a machine JSON mode; output is
 deterministic for fixed inputs and seeds because all series printing uses
 the canonical forest order.  Exit codes: 0 success, 1 domain error
-(diagnostic on stderr), 2 usage error.  The numeric layers are imported
-only by the subcommands that run them, and only `axioms --target matrix`
-imports numpy.
+(diagnostic on stderr), 2 usage error.  Every layer loads on first use:
+each subcommand imports only the layers it runs, so `enumerate` loads
+`trees` alone, `integrate` and `converge` load `sphere` alone, and only
+`axioms --target matrix` imports numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 
-from . import lbseries, postlie
-from .series import Series, concat, shuffle
-from .trees import (
-    ForestParseError,
-    check_degree,
-    enumerate_forests,
-    enumerate_trees,
-    parse_forest,
-)
-
 DEFAULT_DEGREE = 4
-METHODS = tuple(lbseries.METHOD_CHARACTERS)  # also the keys of sphere.STEPPERS
+# The keys of lbseries.METHOD_CHARACTERS and sphere.STEPPERS, written out so
+# that parsing the arguments loads neither layer.
+METHODS = ("lie-euler", "lie-midpoint")
 
 
 def _print_json(body) -> None:
@@ -36,7 +28,7 @@ def _print_json(body) -> None:
     print(json.dumps(body, allow_nan=False))
 
 
-def _emit_series(s: Series, fmt: str) -> None:
+def _emit_series(s, fmt: str) -> None:
     if fmt == "json":
         _print_json(s.to_json())
         return
@@ -47,8 +39,10 @@ def _emit_series(s: Series, fmt: str) -> None:
         print(f"{s.terms[f]}\t{f.text}")
 
 
-def _load_operand(text: str, degree: int | None) -> Series:
+def _load_operand(text: str, degree: int | None):
     """Inline bracket-grammar forest, or a path to a series JSON file."""
+    from .series import Series
+    from .trees import ForestParseError, parse_forest
     try:
         forest = parse_forest(text)
     except ForestParseError as err:
@@ -65,19 +59,17 @@ def _load_operand(text: str, degree: int | None) -> Series:
 
 
 def _cmd_product(args) -> int:
+    from .postlie import gl_product, triangleright
+    from .series import concat, shuffle
     a = _load_operand(args.left, args.degree)
     b = _load_operand(args.right, args.degree)
-    op = {
-        "graft": postlie.triangleright,
-        "concat": concat,
-        "shuffle": shuffle,
-        "gl": postlie.gl_product,
-    }[args.kind]
+    op = {"graft": triangleright, "concat": concat, "shuffle": shuffle, "gl": gl_product}[args.kind]
     _emit_series(op(a, b), args.format)
     return 0
 
 
 def _cmd_exp(args) -> int:
+    from . import lbseries
     n = args.degree
     if args.series is None:
         a = lbseries.field_generator(n)
@@ -89,6 +81,7 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_magnus(args) -> int:
+    from . import lbseries
     n = args.degree
     chi = lbseries.magnus_chi(lbseries.field_generator(n), n)
     _emit_series(chi.series, args.format)
@@ -96,6 +89,7 @@ def _cmd_magnus(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from . import lbseries
     n = args.degree
     character = lbseries.METHOD_CHARACTERS[args.method](n)
     order, defect = lbseries.agreement(character, lbseries.exact_flow_character(n))
@@ -123,6 +117,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .trees import enumerate_forests, enumerate_trees
     if args.what == "trees":
         items = [t.text for t in enumerate_trees(args.degree)]
     else:
@@ -142,9 +137,11 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_axioms(args) -> int:
     if args.target == "free":
+        from .postlie import check_postlie_axioms
+        from .trees import check_degree
         n = DEFAULT_DEGREE if args.degree is None else args.degree
         check_degree(n)
-        report = postlie.check_postlie_axioms(n)
+        report = check_postlie_axioms(n)
         body = {
             "check": "postlie-axioms-free",
             "degree": n,
@@ -190,16 +187,24 @@ def _rigid_body():
     return omega, [1.0 / math.sqrt(3.0)] * 3
 
 
+def _write_rows(out, points, norm_defect, end: str) -> None:
+    """The trajectory as CSV rows, each formatted once and written in one pass.
+
+    A float's repr never needs CSV quoting, so this is what the csv module's
+    excel dialect writes when `end` is "\r\n".
+    """
+    row = "%r,%r,%r,%r,%r" + end
+    out.write("t,y1,y2,y3,norm_defect" + end)
+    out.writelines(row % (t, *y, norm_defect(y)) for t, y in points)
+
+
 def _cmd_integrate(args) -> int:
     from . import sphere
     field, y0 = _rigid_body()
     points = sphere.trajectory(field, y0, args.h, args.steps, args.method)
-    rows = ([repr(v) for v in (t, *y, sphere.norm_defect(y))] for t, y in points)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "y1", "y2", "y3", "norm_defect"])
-            writer.writerows(rows)
+            _write_rows(fh, points, sphere.norm_defect, "\r\n")
     if args.format == "json":
         _print_json(
             {
@@ -211,9 +216,7 @@ def _cmd_integrate(args) -> int:
             }
         )
     elif not args.csv:
-        print("t,y1,y2,y3,norm_defect")
-        for row in rows:
-            print(",".join(row))
+        _write_rows(sys.stdout, points, sphere.norm_defect, "\n")
     else:
         print(f"wrote {len(points)} rows to {args.csv}")
     return 0
@@ -321,6 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "degree", None) is not None:
+            from .trees import check_degree
             check_degree(args.degree)
         return args.fn(args)
     except (ValueError, OSError) as err:  # every liebutcher error is a ValueError

@@ -11,13 +11,16 @@ grafting against an independent realization.
 from __future__ import annotations
 
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lbseries import FieldSeries
 from .postlie import dbracket, graft_attachments, postlie_identities
 from .series import Series
 from .trees import LEAF, Tree
+
+if TYPE_CHECKING:
+    from .lbseries import FieldSeries
 
 __all__ = [
     "DEFAULT_SEED",
@@ -173,6 +176,8 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     commutators and weight 1/k, which reproduces the element.  A
     FieldSeries is taken as already checked.
     """
+    from .lbseries import FieldSeries  # the matrix checks never load lbseries
+
     kindv = _kind(kind)
     m0 = np.asarray(m0, dtype=float)
     _check_square(m0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ import numpy as np
 from liebutcher.lbseries import Defect, field_generator
 from liebutcher.postlie import GraftExtension, bracket
 from liebutcher.series import Series, deshuffle, min_trunc, shuffle
-from liebutcher.sphere import ConvergenceError, rot_exp
+from liebutcher.sphere import ConvergenceError, norm_defect, rot_exp
 from liebutcher.trees import (
     EMPTY_FOREST,
     Forest,
@@ -268,3 +269,20 @@ def matrix_integrate(field, y0, h, steps, method):
     for _ in range(steps):
         y = step(field, y, h)
     return y
+
+
+def csv_module_trajectory(points, csv_path=None) -> None:
+    """The integrate rows as the csv module and print write them: the oracle
+    for the CLI's one-pass row stream.  With csv_path, the excel-dialect
+    file; without, one print per row on stdout."""
+    header = ["t", "y1", "y2", "y3", "norm_defect"]
+    rows = ([repr(v) for v in (t, *y, norm_defect(y))] for t, y in points)
+    if csv_path is not None:
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return
+    print(",".join(header))
+    for row in rows:
+        print(",".join(row))

@@ -9,6 +9,8 @@ from liebutcher import sphere
 from liebutcher.cli import _rigid_body, main
 from liebutcher.trees import MAX_DEPTH, DegreeCapError, check_degree
 
+from helpers import csv_module_trajectory
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -461,6 +463,25 @@ class TestIntegrateAndConverge:
         assert text.splitlines() == [",".join(row) for row in rows]
         assert summary["final"] == [float(v) for v in rows[-1][1:4]]
         assert summary["max_norm_defect"] == max(float(row[4]) for row in rows[1:])
+
+    @pytest.mark.parametrize("method", ["lie-euler", "lie-midpoint"])
+    @pytest.mark.parametrize("steps", [0, 1, 2000])
+    def test_rows_are_the_csv_module_rows(self, capsysbinary, tmp_path, method, steps):
+        field, y0 = _rigid_body()
+        points = sphere.trajectory(field, y0, 0.01, steps, method)
+        csv_module_trajectory(points)
+        csv_module_trajectory(points, tmp_path / "want.csv")
+        want = capsysbinary.readouterr().out
+        argv = ["integrate", "--method", method, "--h", "0.01", "--steps", str(steps)]
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == want
+        for fmt in ("text", "json"):
+            path = tmp_path / f"{fmt}.csv"
+            assert main([*argv, "--csv", str(path), "--format", fmt]) == 0
+            assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        out = capsysbinary.readouterr().out.decode().splitlines()
+        assert out[0] == f"wrote {steps + 1} rows to {tmp_path / 'text.csv'}"
+        assert json.loads(out[1])["steps"] == steps
 
     @pytest.mark.parametrize("form", ["text", "json", "csv"])
     def test_failing_run_writes_nothing(self, capsys, tmp_path, form):

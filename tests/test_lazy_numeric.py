@@ -1,9 +1,12 @@
-"""The symbolic path never loads numpy; numeric names load it on first use.
+"""Every layer loads on first use: the symbolic path never loads numpy,
+numeric names load it on first use, and each subcommand loads only the
+layers it runs.
 
 The import checks run in fresh interpreters, because this test process has
 long since imported numpy and both numeric layers.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,10 +15,12 @@ import sys
 import pytest
 
 import liebutcher
-from liebutcher import cli, matrixpostlie, sphere
+from liebutcher import cli, lbseries, matrixpostlie, sphere
 from liebutcher.sphere import ConvergenceError
 
 NUMERIC_MODULES = ("numpy", "liebutcher.sphere", "liebutcher.matrixpostlie", "dataclasses")
+LAYERS = ("cli", "trees", "series", "postlie", "lbseries", "matrixpostlie", "sphere")
+FOOTPRINT_MODULES = ("fractions", "csv", *(f"liebutcher.{m}" for m in LAYERS))
 SRC = os.path.dirname(os.path.dirname(liebutcher.__file__))
 
 PROBE = """
@@ -25,11 +30,11 @@ print(json.dumps([m for m in {modules!r} if m in sys.modules]))
 """
 
 
-def loaded_after(setup: str) -> list[str]:
-    """Which of NUMERIC_MODULES a fresh interpreter holds after `setup`."""
+def loaded_after(setup: str, modules=NUMERIC_MODULES) -> list[str]:
+    """Which of `modules` a fresh interpreter holds after `setup`."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = PROBE.format(setup=setup, modules=NUMERIC_MODULES)
+    code = PROBE.format(setup=setup, modules=modules)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
@@ -76,6 +81,51 @@ def test_sphere_subcommands_step_without_numpy(argv, tmp_path):
     assert loaded_after(setup) == ["liebutcher.sphere"]
 
 
+SYMBOLIC = {"cli", "trees", "series", "postlie", "fractions"}
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (INTEGRATE, {"cli", "sphere"}),
+        ([*INTEGRATE, "--format", "json"], {"cli", "sphere"}),
+        ([*INTEGRATE, "--csv", "{csv}"], {"cli", "sphere"}),
+        ([*INTEGRATE, "--csv", "{csv}", "--format", "json"], {"cli", "sphere"}),
+        (["converge", "--method", "lie-euler", "--hs", "0.1,0.05,0.025", "--refine", "2"],
+         {"cli", "sphere"}),
+        (["enumerate", "--what", "forests", "--degree", "3"], {"cli", "trees"}),
+        (["enumerate", "--what", "trees", "--degree", "3", "--format", "json"], {"cli", "trees"}),
+        (["graft", "[]", "[[]]"], SYMBOLIC),
+        (["graft", "[[oops]]", "[]"], SYMBOLIC),
+        (["product", "--kind", "gl", "[]", "[[]]", "--degree", "3"], SYMBOLIC),
+        (["axioms", "--target", "free", "--degree", "3"], SYMBOLIC),
+        (["magnus", "--degree", "3"], SYMBOLIC | {"lbseries"}),
+        (["order", "--method", "lie-euler", "--degree", "3"], SYMBOLIC | {"lbseries"}),
+        (["exp", "--kind", "gl", "--degree", "3"], SYMBOLIC | {"lbseries"}),
+        (["axioms", "--target", "matrix", "--kind", "qr", "--n", "3", "--samples", "2"],
+         SYMBOLIC | {"matrixpostlie"}),
+    ],
+)
+def test_each_subcommand_loads_only_its_layers(argv, layers, tmp_path):
+    argv = [arg.format(csv=tmp_path / "run.csv") for arg in argv]
+    setup = f"from liebutcher import cli\ncli.main({argv!r})"
+    loaded = loaded_after(setup, FOOTPRINT_MODULES)
+    assert {m.removeprefix("liebutcher.") for m in loaded} == layers
+
+
+def test_import_liebutcher_loads_no_layer():
+    assert loaded_after("import liebutcher", FOOTPRINT_MODULES) == []
+
+
+def test_star_import_binds_the_symbolic_names_without_numpy():
+    setup = (
+        "from liebutcher import *\nimport liebutcher\n"
+        "missing = [n for n in liebutcher.__all__ if n not in globals()]\n"
+        "assert liebutcher.__all__ and not missing, missing"
+    )
+    assert loaded_after(setup) == []
+
+
 def test_the_matrix_subcommand_loads_numpy():
     argv = ["axioms", "--target", "matrix", "--kind", "lu", "--n", "3", "--samples", "2"]
     setup = f"from liebutcher import cli\nassert cli.main({argv!r}) == 0"
@@ -83,10 +133,12 @@ def test_the_matrix_subcommand_loads_numpy():
 
 
 def test_numeric_names_resolve_from_their_submodule():
-    for name, module in liebutcher._NUMERIC.items():
-        owner = {"sphere": sphere, "matrixpostlie": matrixpostlie}[module]
+    for name, module in liebutcher._EXPORTS.items():
+        owner = importlib.import_module(f"liebutcher.{module}")
         assert name in owner.__all__
         assert getattr(liebutcher, name) is getattr(owner, name)
+        assert name in dir(liebutcher)
+        assert (name in liebutcher.__all__) == (module not in ("sphere", "matrixpostlie"))
     assert liebutcher.rot_exp is sphere.rot_exp
     assert liebutcher.sphere is sphere and liebutcher.matrixpostlie is matrixpostlie
     from liebutcher import eval_F
@@ -108,7 +160,7 @@ def test_unknown_attribute_raises():
 
 
 def test_cli_methods_are_the_steppers():
-    assert cli.METHODS == tuple(sorted(sphere.STEPPERS))
+    assert cli.METHODS == tuple(lbseries.METHOD_CHARACTERS) == tuple(sphere.STEPPERS)
 
 
 def test_cli_seed_default_is_the_library_default():
