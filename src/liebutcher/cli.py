@@ -3,10 +3,10 @@
 Every subcommand has a human text mode and a machine JSON mode; output is
 deterministic for fixed inputs and seeds because all series printing uses
 the canonical forest order.  Exit codes: 0 success, 1 domain error
-(diagnostic on stderr), 2 usage error.  Every layer loads on first use:
-each subcommand imports only the layers it runs, so `enumerate` loads
-`trees` alone, `integrate` and `converge` load `sphere` alone, and only
-`axioms --target matrix` imports numpy.
+(diagnostic on stderr; a MemoryError too), 2 usage error.  Every layer
+loads on first use: each subcommand imports only the layers it runs, so
+`enumerate` loads `trees` alone, `integrate` and `converge` load `sphere`
+alone, and only `axioms --target matrix` imports numpy.
 """
 
 from __future__ import annotations
@@ -329,6 +329,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as err:  # every liebutcher error is a ValueError
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:  # numpy's message names the allocation that failed
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

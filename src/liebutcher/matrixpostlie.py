@@ -6,6 +6,12 @@ QR) induces the product M |> N = -[pi_minus(M), N].  The evaluation map
 eval_F sends symbolic tree series to concrete matrices, fixing an image for
 the one-node tree, and is the bridge used to cross-check the symbolic
 grafting against an independent realization.
+
+Every public function takes one n x n matrix or a stack of them on the last
+two axes, and on a stack equals its per-matrix results exactly.  The
+identity checks run their samples as such stacks, in blocks of a fixed
+number of doubles, so memory does not grow with `samples`; their
+`projector=`/`product=` hooks receive (block, n, n) stacks.
 """
 
 from __future__ import annotations
@@ -50,26 +56,47 @@ def _kind(kind) -> str:
 
 
 def _check_square(m: np.ndarray) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """m is a square matrix, or a stack of them on its last two axes."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 2:
+    if m.shape[-1] < 2:
         raise ValueError("matrices must be at least 2x2")
+
+
+def _square(m) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    _check_square(m)
+    return m
+
+
+def _pi_minus(kind: str, n: int):
+    """pi_minus on n x n matrices or stacks of them, unchecked, with its
+    strictly-lower mask built once."""
+    below = np.tri(n, n, -1, dtype=bool)
+
+    def minus(m):
+        low = np.where(below, m, 0.0)
+        return low if kind == "lu" else low - low.swapaxes(-1, -2)
+
+    return minus
+
+
+def _act(minus, m, n):
+    """M |> N = -[minus(M), N], unchecked."""
+    p = minus(m)
+    return n @ p - p @ n
 
 
 def project_minus(kind, m) -> np.ndarray:
     """LU: strictly lower triangle.  QR: L - L^T with L the strict lower part
     (projection onto skew-symmetric along upper-triangular)."""
-    m = np.asarray(m, dtype=float)
-    _check_square(m)
-    low = np.tril(m, -1)
-    if _kind(kind) == "lu":
-        return low
-    return low - low.T
+    m = _square(m)
+    return _pi_minus(_kind(kind), m.shape[-1])(m)
 
 
 def project_plus(kind, m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    return m - project_minus(kind, m)
+    m = _square(m)
+    return m - _pi_minus(_kind(kind), m.shape[-1])(m)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,8 +109,13 @@ def mat_triangleright(kind, m, n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if m.shape != n.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {n.shape}")
-    p = project_minus(kind, m)
-    return n @ p - p @ n
+    _check_square(m)
+    return _act(_pi_minus(_kind(kind), m.shape[-1]), m, n)
+
+
+# Doubles drawn per block of samples: the checks' memory does not grow with
+# `samples`, and one block holds every sample of a default-sized check.
+_BLOCK_DOUBLES = 1 << 17
 
 
 def _sampled_check(check: str, kind, n: int, samples: int, tol: float, seed: int,
@@ -92,8 +124,11 @@ def _sampled_check(check: str, kind, n: int, samples: int, tol: float, seed: int
 
     Each of `samples` rounds draws `draws` uniform [-1, 1] n x n matrices
     from default_rng(seed) and scales the largest entry of every array
-    residuals(kind, *matrices) yields by 1 + the largest input magnitude;
-    the report carries the worst scaled residual.
+    residuals(pi_minus, *matrices) yields by 1 + the largest input
+    magnitude; the report carries the worst scaled residual.  The rounds
+    run in blocks: each argument is a (block, n, n) stack, drawn in the
+    order one round at a time would draw it, so the report does not depend
+    on the block size.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n!r}")
@@ -104,20 +139,23 @@ def _sampled_check(check: str, kind, n: int, samples: int, tol: float, seed: int
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
     kindv = _kind(kind)
+    minus = _pi_minus(kindv, n)
     rng = np.random.default_rng(seed)
+    block = max(1, _BLOCK_DOUBLES // (draws * n * n))
     worst = 0.0
-    for _ in range(samples):
-        mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(draws)]
-        scale = 1.0 + max(np.abs(m).max() for m in mats)
-        for r in residuals(kindv, *mats):
-            worst = max(worst, float(np.abs(r).max()) / scale)
+    for done in range(0, samples, block):
+        mats = rng.uniform(-1.0, 1.0, size=(min(block, samples - done), draws, n, n))
+        scale = 1.0 + np.abs(mats).max(axis=(1, 2, 3))
+        for r in residuals(minus, *mats.swapaxes(0, 1)):
+            worst = np.maximum(worst, (np.abs(r).max(axis=(-2, -1)) / scale).max())
+    worst = float(worst)
     return {
         "check": check,
         "kind": kindv.upper(),
         "n": n,
         "samples": samples,
         "max_residual": worst,
-        "pass": bool(worst <= tol),
+        "pass": worst <= tol,
         "seed": seed,
     }
 
@@ -132,8 +170,8 @@ def check_projection_identity(
     pi_minus so tests can check that a corrupted projection fails.
     """
 
-    def residuals(kindv, m, w):
-        minus = projector if projector is not None else (lambda x: project_minus(kindv, x))
+    def residuals(pi_minus, m, w):
+        minus = projector if projector is not None else pi_minus
         for proj in (minus, lambda x: x - minus(x)):
             lhs = commutator(proj(m), proj(w)) + proj(commutator(m, w))
             rhs = proj(commutator(proj(m), w) + commutator(m, proj(w)))
@@ -150,8 +188,8 @@ def check_matrix_postlie_axioms(
     identity of the derived bracket, on random triples.  `product`
     overrides |> so a wrong-sign product is seen to fail."""
 
-    def residuals(kindv, x, y, z):
-        tr = product if product is not None else partial(mat_triangleright, kindv)
+    def residuals(pi_minus, x, y, z):
+        tr = product if product is not None else partial(_act, pi_minus)
         for _, lhs, rhs in postlie_identities(x, y, z, tr, commutator):
             yield lhs - rhs
         db = partial(dbracket, tr=tr, br=commutator)
@@ -179,29 +217,30 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     from .lbseries import FieldSeries  # the matrix checks never load lbseries
 
     kindv = _kind(kind)
-    m0 = np.asarray(m0, dtype=float)
-    _check_square(m0)
+    m0 = _square(m0)
+    tr = partial(_act, _pi_minus(kindv, m0.shape[-1]))
     memo = {LEAF: m0}
     total = np.zeros_like(m0)
     field = a if isinstance(a, FieldSeries) else FieldSeries(a)
     for forest, coeff in field.series.terms.items():
-        folded = _tree_value(kindv, forest.trees[0], memo)
+        folded = _tree_value(tr, forest.trees[0], memo)
         for t in forest.trees[1:]:
-            folded = commutator(folded, _tree_value(kindv, t, memo))
+            folded = commutator(folded, _tree_value(tr, t, memo))
         total = total + (float(coeff) / len(forest.trees)) * folded
     return total
 
 
-def _tree_value(kind: str, t: Tree, memo: dict) -> np.ndarray:
-    """F(t) for eval_F; memo maps the trees done so far to F, F(leaf) = m0."""
+def _tree_value(tr, t: Tree, memo: dict) -> np.ndarray:
+    """F(t) for eval_F, with tr the unchecked |>; memo maps the trees done so
+    far to F, F(leaf) = m0."""
     out = memo.get(t)
     if out is not None:
         return out
     head = t.children[0]
     rest = Tree(t.children[1:])
-    out = mat_triangleright(kind, _tree_value(kind, head, memo), _tree_value(kind, rest, memo))
+    out = tr(_tree_value(tr, head, memo), _tree_value(tr, rest, memo))
     for attached in graft_attachments(head, rest):
         if attached != t:
-            out = out - _tree_value(kind, attached, memo)
+            out = out - _tree_value(tr, attached, memo)
     memo[t] = out
     return out

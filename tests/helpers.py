@@ -6,11 +6,13 @@ import csv
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from liebutcher.lbseries import Defect, field_generator
-from liebutcher.postlie import GraftExtension, bracket
+from liebutcher.matrixpostlie import commutator, mat_triangleright, project_minus
+from liebutcher.postlie import GraftExtension, bracket, dbracket, postlie_identities
 from liebutcher.series import Series, deshuffle, min_trunc, shuffle
 from liebutcher.sphere import ConvergenceError, norm_defect, rot_exp
 from liebutcher.trees import (
@@ -269,6 +271,49 @@ def matrix_integrate(field, y0, h, steps, method):
     for _ in range(steps):
         y = step(field, y, h)
     return y
+
+
+def per_sample_matrix_check(check: str, kind: str, n: int, samples: int = 100,
+                            tol: float = 1e-10, seed: int = 1914, hook=None) -> dict:
+    """Oracle for the matrix identity checks: their report built one sample
+    at a time, each n x n matrix drawn on its own and put through the public
+    per-matrix functions.  `check` is "projection-identity" (hook: the
+    projector) or "postlie-axioms" (hook: the product)."""
+
+    def projection_residuals(m, w):
+        minus = hook or partial(project_minus, kind)
+        for proj in (minus, lambda x: x - minus(x)):
+            lhs = commutator(proj(m), proj(w)) + proj(commutator(m, w))
+            rhs = proj(commutator(proj(m), w) + commutator(m, proj(w)))
+            yield lhs - rhs
+
+    def postlie_residuals(x, y, z):
+        tr = hook or partial(mat_triangleright, kind)
+        for _, lhs, rhs in postlie_identities(x, y, z, tr, commutator):
+            yield lhs - rhs
+        db = partial(dbracket, tr=tr, br=commutator)
+        yield db(x, db(y, z)) + db(y, db(z, x)) + db(z, db(x, y))
+
+    residuals, draws = {
+        "projection-identity": (projection_residuals, 2),
+        "postlie-axioms": (postlie_residuals, 3),
+    }[check]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(draws)]
+        scale = 1.0 + max(np.abs(m).max() for m in mats)
+        for r in residuals(*mats):
+            worst = max(worst, float(np.abs(r).max() / scale))
+    return {
+        "check": check,
+        "kind": kind.upper(),
+        "n": n,
+        "samples": samples,
+        "max_residual": worst,
+        "pass": worst <= tol,
+        "seed": seed,
+    }
 
 
 def csv_module_trajectory(points, csv_path=None) -> None:

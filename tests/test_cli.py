@@ -299,6 +299,22 @@ class TestAxioms:
         assert [r["check"] for r in reports] == ["projection-identity", "postlie-axioms"]
         assert all(r["pass"] for r in reports)
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 238. GiB for an array", "error: Unable to allocate 238. GiB for an array"),
+        ("", "error: out of memory"),
+    ])
+    def test_matrix_memory_error_is_an_error_line(self, capsys, monkeypatch, message, shown):
+        from liebutcher import matrixpostlie
+
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(matrixpostlie, "check_projection_identity", exhausted)
+        code, out, err = run(capsys, "axioms", "--target", "matrix", "--kind", "lu", "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert err == shown + "\n"
+
     @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-2")])
     def test_matrix_rejects_no_samples(self, capsys, flag, value):
         code, out, err = run(

@@ -1,10 +1,12 @@
 import gc
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers import S
+from helpers import S, per_sample_matrix_check
+from liebutcher import matrixpostlie
 from liebutcher.lbseries import field_generator, magnus_chi
 from liebutcher.matrixpostlie import (
     check_matrix_postlie_axioms,
@@ -66,6 +68,15 @@ class TestProjections:
         with pytest.raises(ValueError):
             project_minus("lu", np.ones((1, 1)))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (3,), (4, 2, 3), (4, 1, 1), ()])
+    def test_every_function_rejects_non_square(self, shape):
+        m = np.ones(shape)
+        for fn in (project_minus, project_plus, partial(mat_triangleright, n=m)):
+            with pytest.raises(ValueError, match="square|2x2"):
+                fn("lu", m)
+        with pytest.raises(ValueError, match="square|2x2"):
+            eval_F("lu", m, S("[]"))
+
     def test_kind_coercion(self):
         m = np.ones((3, 3))
         assert np.array_equal(project_minus("QR", m), project_minus("qr", m))
@@ -112,6 +123,43 @@ class TestProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mat_triangleright("lu", np.eye(3), np.eye(4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mat_triangleright("lu", np.ones((2, 3, 3)), np.ones((3, 3, 3)))
+
+
+class TestStacks:
+    """Every public function takes a (k, n, n) stack and equals its
+    per-matrix results there exactly."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stack_equals_each_matrix(self, kind, n):
+        rng = np.random.default_rng(n)
+        ms, ns = rng.uniform(-1, 1, (2, 6, n, n))
+        stacked = {
+            "minus": project_minus(kind, ms),
+            "plus": project_plus(kind, ms),
+            "tr": mat_triangleright(kind, ms, ns),
+            "br": commutator(ms, ns),
+        }
+        for i, (m, w) in enumerate(zip(ms, ns)):
+            single = {
+                "minus": project_minus(kind, m),
+                "plus": project_plus(kind, m),
+                "tr": mat_triangleright(kind, m, w),
+                "br": commutator(m, w),
+            }
+            for name, got in stacked.items():
+                assert got.shape == (6, n, n)
+                assert np.array_equal(got[i], single[name]), name
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eval_F_on_a_stack(self, kind):
+        m0s = np.random.default_rng(6).uniform(-1, 1, (3, 4, 4))
+        chi = magnus_chi(field_generator(4), 4)
+        got = eval_F(kind, m0s, chi)
+        for m0, g in zip(m0s, got):
+            assert np.array_equal(g, eval_F(kind, m0, chi))
 
 
 class TestChecks:
@@ -164,10 +212,99 @@ class TestChecks:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             check("qr", 3, samples=5, seed=-1)
 
+    def test_hooks_receive_stacks(self):
+        shapes = set()
+
+        def projector(m):
+            shapes.add(m.shape)
+            return np.tril(m, -1)
+
+        def product(a, b):
+            shapes.add(a.shape)
+            return mat_triangleright("lu", a, b)
+
+        assert check_projection_identity("lu", 3, samples=9, projector=projector)["pass"]
+        assert check_matrix_postlie_axioms("lu", 3, samples=9, product=product)["pass"]
+        assert shapes == {(9, 3, 3)}
+
+    def test_nan_residual_fails(self):
+        report = check_projection_identity(
+            "lu", 3, samples=5, projector=lambda m: np.full_like(m, np.nan)
+        )
+        assert np.isnan(report["max_residual"])
+        assert report["pass"] is False
+
+    @pytest.mark.parametrize("check", [check_projection_identity, check_matrix_postlie_axioms])
+    def test_max_residual_is_a_float(self, check):
+        report = check("lu", 3, seed=1914)
+        assert type(report["max_residual"]) is float
+        assert type(report["pass"]) is bool
+
     def test_seed_reproducibility(self):
         a = check_projection_identity("qr", 3, samples=10, seed=77)
         b = check_projection_identity("qr", 3, samples=10, seed=77)
         assert a == b
+
+
+CHECKS = {
+    "projection-identity": check_projection_identity,
+    "postlie-axioms": check_matrix_postlie_axioms,
+}
+
+
+def assert_same_report(got, want):
+    assert got == want
+    assert type(got["max_residual"]) is float
+    assert got["max_residual"].hex() == want["max_residual"].hex()
+
+
+class TestBatchedSampling:
+    """The checks run their samples as stacks, block by block; the reports
+    are bit-equal to drawing and checking one sample at a time."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_equals_the_per_sample_oracle(self, kind, n):
+        for name, check in CHECKS.items():
+            for samples in (1, 7, 100):
+                for seed in (0, 1914, 90210):
+                    assert_same_report(
+                        check(kind, n, samples, seed=seed),
+                        per_sample_matrix_check(name, kind, n, samples, seed=seed),
+                    )
+
+    @pytest.mark.parametrize("seed", [0, 1914, 90210])
+    def test_corrupted_hooks_equal_the_oracle(self, seed):
+        projector = lambda m: 0.9 * np.tril(m, -1)  # noqa: E731
+        product = lambda a, b: -mat_triangleright("lu", a, b)  # noqa: E731
+        for name, check, hook in (
+            ("projection-identity", partial(check_projection_identity, projector=projector), projector),
+            ("postlie-axioms", partial(check_matrix_postlie_axioms, product=product), product),
+        ):
+            want = per_sample_matrix_check(name, "lu", 4, 20, seed=seed, hook=hook)
+            assert not want["pass"]
+            assert_same_report(check("lu", 4, 20, seed=seed), want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("block_doubles", [1, 13 * 3 * 16])
+    def test_block_boundaries(self, monkeypatch, kind, block_doubles):
+        # 13 * 3 * 16 doubles: blocks of 13 triples or 19 pairs of 4x4 matrices,
+        # so 100 samples end in a partial block; 1 double: one sample per block.
+        whole = {name: check(kind, 4, 100, seed=3) for name, check in CHECKS.items()}
+        monkeypatch.setattr(matrixpostlie, "_BLOCK_DOUBLES", block_doubles)
+        for name, check in CHECKS.items():
+            assert_same_report(check(kind, 4, 100, seed=3), whole[name])
+
+    def test_memory_does_not_grow_with_samples(self):
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                assert check_matrix_postlie_axioms("lu", 8, samples=samples)["pass"]
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20000) <= 2 * peak(1000)
 
 
 class TestEvalF:
@@ -177,6 +314,12 @@ class TestEvalF:
 
     def test_generator(self):
         assert np.array_equal(eval_F("lu", self.m0, S("[]")), self.m0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_returns_one_float_matrix(self, kind):
+        got = eval_F(kind, self.m0.tolist(), magnus_chi(field_generator(3), 3))
+        assert type(got) is np.ndarray
+        assert got.dtype == np.float64 and got.shape == (4, 4)
 
     def test_chain_is_self_action(self):
         got = eval_F("lu", self.m0, S("[[]]"))
