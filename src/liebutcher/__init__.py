@@ -11,9 +11,11 @@ Every layer loads on first use: `import liebutcher` loads no submodule,
 and each name below resolves through a module __getattr__ that imports
 only the submodule defining it.  So a sphere integration never compiles
 the symbolic layers, and nothing symbolic imports numpy.  Of the numeric
-layers, the matrix realization imports numpy; the sphere steps run in
-plain floats, and only its matrix forms `hat`/`rot_exp` and
-`rigid_body_field` import numpy.
+layers, the matrix realization imports numpy and the post-Lie identities
+(`identities`) only, so its identity checks load no symbolic layer;
+`eval_F` is the one bridge that loads the symbolic layers, inside the
+call.  The sphere steps run in plain floats, and only its matrix forms
+`hat`/`rot_exp` and `rigid_body_field` import numpy.
 """
 
 import importlib

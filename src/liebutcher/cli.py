@@ -6,13 +6,14 @@ the canonical forest order.  Exit codes: 0 success, 1 domain error
 (diagnostic on stderr; a MemoryError too), 2 usage error.  Every layer
 loads on first use: each subcommand imports only the layers it runs, so
 `enumerate` loads `trees` alone, `integrate` and `converge` load `sphere`
-alone, and only `axioms --target matrix` imports numpy.
+alone, and only `axioms --target matrix` imports numpy, with the post-Lie
+identities and no symbolic layer.  `json` loads only where it is read or
+written: JSON output and series files.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -25,6 +26,7 @@ METHODS = ("lie-euler", "lie-midpoint")
 
 def _print_json(body) -> None:
     """Strict JSON on stdout: a NaN or infinity raises ValueError (exit 1)."""
+    import json
     print(json.dumps(body, allow_nan=False))
 
 
@@ -47,6 +49,7 @@ def _load_operand(text: str, degree: int | None):
         forest = parse_forest(text)
     except ForestParseError as err:
         if os.path.exists(text):
+            import json
             with open(text, encoding="utf-8") as fh:
                 try:
                     data = json.load(fh)

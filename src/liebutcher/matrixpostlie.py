@@ -7,6 +7,11 @@ eval_F sends symbolic tree series to concrete matrices, fixing an image for
 the one-node tree, and is the bridge used to cross-check the symbolic
 grafting against an independent realization.
 
+The module imports numpy and `identities` only: the identity checks run the
+post-Lie identities of `identities` with the matrix product, and load no
+symbolic layer.  eval_F is the one bridge to the symbolic layers; it loads
+`trees`, `postlie` and `lbseries` inside the call, once per call.
+
 Every public function takes one n x n matrix or a stack of them on the last
 two axes, and on a stack equals its per-matrix results exactly.  The
 identity checks run their samples as such stacks, in blocks of a fixed
@@ -21,12 +26,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .postlie import dbracket, graft_attachments, postlie_identities
-from .series import Series
-from .trees import LEAF, Tree
+from .identities import dbracket, postlie_identities
 
 if TYPE_CHECKING:
     from .lbseries import FieldSeries
+    from .series import Series
+    from .trees import Tree
 
 __all__ = [
     "DEFAULT_SEED",
@@ -184,7 +189,7 @@ def check_matrix_postlie_axioms(
     kind, n: int, samples: int = 100, tol: float = 1e-10,
     seed: int = DEFAULT_SEED, product=None,
 ) -> dict:
-    """Residuals lhs - rhs of postlie.postlie_identities plus the Jacobi
+    """Residuals lhs - rhs of identities.postlie_identities plus the Jacobi
     identity of the derived bracket, on random triples.  `product`
     overrides |> so a wrong-sign product is seen to fail."""
 
@@ -214,7 +219,11 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     commutators and weight 1/k, which reproduces the element.  A
     FieldSeries is taken as already checked.
     """
-    from .lbseries import FieldSeries  # the matrix checks never load lbseries
+    # The symbolic layers load here, once per call and never per tree: the
+    # identity checks load none of them.
+    from .lbseries import FieldSeries
+    from .postlie import graft_attachments
+    from .trees import LEAF
 
     kindv = _kind(kind)
     m0 = _square(m0)
@@ -223,24 +232,25 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     total = np.zeros_like(m0)
     field = a if isinstance(a, FieldSeries) else FieldSeries(a)
     for forest, coeff in field.series.terms.items():
-        folded = _tree_value(tr, forest.trees[0], memo)
+        folded = _tree_value(tr, graft_attachments, forest.trees[0], memo)
         for t in forest.trees[1:]:
-            folded = commutator(folded, _tree_value(tr, t, memo))
+            folded = commutator(folded, _tree_value(tr, graft_attachments, t, memo))
         total = total + (float(coeff) / len(forest.trees)) * folded
     return total
 
 
-def _tree_value(tr, t: Tree, memo: dict) -> np.ndarray:
-    """F(t) for eval_F, with tr the unchecked |>; memo maps the trees done so
-    far to F, F(leaf) = m0."""
+def _tree_value(tr, attach, t: Tree, memo: dict) -> np.ndarray:
+    """F(t) for eval_F, with tr the unchecked |> and attach
+    postlie.graft_attachments; memo maps the trees done so far to F,
+    F(leaf) = m0."""
     out = memo.get(t)
     if out is not None:
         return out
     head = t.children[0]
-    rest = Tree(t.children[1:])
-    out = tr(_tree_value(tr, head, memo), _tree_value(tr, rest, memo))
-    for attached in graft_attachments(head, rest):
+    rest = type(t)(t.children[1:])  # a trees.Tree, built without importing trees here
+    out = tr(_tree_value(tr, attach, head, memo), _tree_value(tr, attach, rest, memo))
+    for attached in attach(head, rest):
         if attached != t:
-            out = out - _tree_value(tr, attached, memo)
+            out = out - _tree_value(tr, attach, attached, memo)
     memo[t] = out
     return out

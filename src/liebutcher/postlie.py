@@ -13,7 +13,11 @@ product is assembled from the deshuffle coproduct,
     A * B = sum over splits A -> (A1, A2) of A1 . (A2 |> B),
 
 which restricts to a.b + a |> b on single trees and is associative with
-unit I.  Everything here is exact and degree-additive.
+unit I.  Everything here is exact and degree-additive.  The post-Lie
+identities live in `identities`, generic over the realization; the
+`associator`, `dbracket` and `postlie_identities` exported here are those
+functions, and the first two default to grafting and the concatenation
+commutator.
 
 Every memo here is a functools.lru_cache keyed on interned forests.
 """
@@ -24,6 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 
+from .identities import associator, dbracket, postlie_identities
 from .series import Series, bilinear, concat, deshuffle_forest
 from .trees import Forest, Tree, enumerate_trees, forest_sort_key
 
@@ -136,32 +141,6 @@ def gl_product(a: Series, b: Series, extension: GraftExtension | None = None) ->
     """Grossman-Larson product of series."""
     ext = extension if extension is not None else _DEFAULT_EXTENSION
     return bilinear(a, b, ext.gl_basis)
-
-
-# Generic over the realization: tr is its product |> and br its Lie bracket;
-# None stands for grafting and the concatenation commutator.
-
-
-def associator(a, b, c, tr=None):
-    """a |> (b |> c) - (a |> b) |> c."""
-    tr = tr or triangleright
-    return tr(a, tr(b, c)) - tr(tr(a, b), c)
-
-
-def dbracket(a, b, tr=None, br=None):
-    """The second Lie bracket: a |> b - b |> a + [a, b]."""
-    tr, br = tr or triangleright, br or bracket
-    return tr(a, b) - tr(b, a) + br(a, b)
-
-
-def postlie_identities(x, y, z, tr, br):
-    """The two defining identities at (x, y, z) as (name, lhs, rhs), lazily:
-
-      bracket_rule:     x |> [y,z] = [x |> y, z] + [y, x |> z]
-      associator_rule:  [x,y] |> z = a(x,y,z) - a(y,x,z)
-    """
-    yield "bracket_rule", tr(x, br(y, z)), br(tr(x, y), z) + br(y, tr(x, z))
-    yield "associator_rule", tr(br(x, y), z), associator(x, y, z, tr) - associator(y, x, z, tr)
 
 
 AxiomReport = namedtuple("AxiomReport", ["passed", "triples", "witness"], defaults=[None])

@@ -16,30 +16,39 @@ import pytest
 
 import liebutcher
 from liebutcher import cli, lbseries, matrixpostlie, sphere
+from liebutcher.series import Series
 from liebutcher.sphere import ConvergenceError
 
 NUMERIC_MODULES = ("numpy", "liebutcher.sphere", "liebutcher.matrixpostlie", "dataclasses")
-LAYERS = ("cli", "trees", "series", "postlie", "lbseries", "matrixpostlie", "sphere")
-FOOTPRINT_MODULES = ("fractions", "csv", *(f"liebutcher.{m}" for m in LAYERS))
+LAYERS = ("cli", "trees", "series", "identities", "postlie", "lbseries", "matrixpostlie",
+          "sphere")
+FOOTPRINT_MODULES = ("fractions", "csv", "json", *(f"liebutcher.{m}" for m in LAYERS))
 SRC = os.path.dirname(os.path.dirname(liebutcher.__file__))
 
+# sys.modules is read before the probe's own `import json`.
 PROBE = """
-import json, sys
+import sys
 {setup}
-print(json.dumps([m for m in {modules!r} if m in sys.modules]))
+loaded = [m for m in {modules!r} if m in sys.modules]
+import json
+print(json.dumps(loaded))
 """
 
 
-def loaded_after(setup: str, modules=NUMERIC_MODULES) -> list[str]:
-    """Which of `modules` a fresh interpreter holds after `setup`."""
+def run_fresh(code: str):
+    """The JSON value a fresh interpreter running `code` prints last."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = PROBE.format(setup=setup, modules=modules)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(setup: str, modules=NUMERIC_MODULES) -> list[str]:
+    """Which of `modules` a fresh interpreter holds after `setup`."""
+    return run_fresh(PROBE.format(setup=setup, modules=modules))
 
 
 @pytest.mark.parametrize("setup", ["import liebutcher", "import liebutcher.cli"])
@@ -81,20 +90,22 @@ def test_sphere_subcommands_step_without_numpy(argv, tmp_path):
     assert loaded_after(setup) == ["liebutcher.sphere"]
 
 
-SYMBOLIC = {"cli", "trees", "series", "postlie", "fractions"}
+SYMBOLIC = {"cli", "trees", "series", "identities", "postlie", "fractions"}
+MATRIX = ["axioms", "--target", "matrix", "--kind", "qr", "--n", "3", "--samples", "2"]
 
 
 @pytest.mark.parametrize(
     "argv, layers",
     [
         (INTEGRATE, {"cli", "sphere"}),
-        ([*INTEGRATE, "--format", "json"], {"cli", "sphere"}),
+        ([*INTEGRATE, "--format", "json"], {"cli", "sphere", "json"}),
         ([*INTEGRATE, "--csv", "{csv}"], {"cli", "sphere"}),
-        ([*INTEGRATE, "--csv", "{csv}", "--format", "json"], {"cli", "sphere"}),
+        ([*INTEGRATE, "--csv", "{csv}", "--format", "json"], {"cli", "sphere", "json"}),
         (["converge", "--method", "lie-euler", "--hs", "0.1,0.05,0.025", "--refine", "2"],
          {"cli", "sphere"}),
         (["enumerate", "--what", "forests", "--degree", "3"], {"cli", "trees"}),
-        (["enumerate", "--what", "trees", "--degree", "3", "--format", "json"], {"cli", "trees"}),
+        (["enumerate", "--what", "trees", "--degree", "3", "--format", "json"],
+         {"cli", "trees", "json"}),
         (["graft", "[]", "[[]]"], SYMBOLIC),
         (["graft", "[[oops]]", "[]"], SYMBOLIC),
         (["product", "--kind", "gl", "[]", "[[]]", "--degree", "3"], SYMBOLIC),
@@ -102,8 +113,8 @@ SYMBOLIC = {"cli", "trees", "series", "postlie", "fractions"}
         (["magnus", "--degree", "3"], SYMBOLIC | {"lbseries"}),
         (["order", "--method", "lie-euler", "--degree", "3"], SYMBOLIC | {"lbseries"}),
         (["exp", "--kind", "gl", "--degree", "3"], SYMBOLIC | {"lbseries"}),
-        (["axioms", "--target", "matrix", "--kind", "qr", "--n", "3", "--samples", "2"],
-         SYMBOLIC | {"matrixpostlie"}),
+        (MATRIX, {"cli", "identities", "matrixpostlie"}),
+        ([*MATRIX, "--format", "json"], {"cli", "identities", "matrixpostlie", "json"}),
     ],
 )
 def test_each_subcommand_loads_only_its_layers(argv, layers, tmp_path):
@@ -111,6 +122,39 @@ def test_each_subcommand_loads_only_its_layers(argv, layers, tmp_path):
     setup = f"from liebutcher import cli\ncli.main({argv!r})"
     loaded = loaded_after(setup, FOOTPRINT_MODULES)
     assert {m.removeprefix("liebutcher.") for m in loaded} == layers
+
+
+SYMBOLIC_MODULES = ["fractions", "liebutcher.trees", "liebutcher.series", "liebutcher.postlie",
+                    "liebutcher.lbseries"]
+EVAL_F_CHI4 = """
+import json, sys
+import liebutcher.matrixpostlie as mp
+mp.check_projection_identity("qr", 3, 5)
+mp.check_matrix_postlie_axioms("lu", 3, 5)
+symbolic = {modules!r}
+checks = [m for m in symbolic if m in sys.modules]
+from liebutcher.series import Series
+chi = Series.from_json(json.loads({chi!r}))
+before = [m for m in symbolic if m in sys.modules]
+got = mp.eval_F("qr", {m0!r}, chi)
+after = [m for m in symbolic if m in sys.modules]
+print(json.dumps([checks, before, after, got.tolist()]))
+"""
+
+
+def test_matrix_checks_load_no_symbolic_layer_and_eval_F_loads_them():
+    import numpy as np
+
+    text = json.dumps(lbseries.magnus_chi(lbseries.field_generator(4), 4).series.to_json())
+    m0 = np.random.default_rng(8).uniform(-1, 1, (4, 4))
+    code = EVAL_F_CHI4.format(modules=SYMBOLIC_MODULES, chi=text, m0=m0.tolist())
+    checks, before, after, got = run_fresh(code)
+    assert checks == []
+    assert "liebutcher.postlie" not in before and "liebutcher.lbseries" not in before
+    assert after == SYMBOLIC_MODULES
+    # the same series, its terms in the same order, so the same sums
+    chi = Series.from_json(json.loads(text))
+    assert np.array_equal(np.array(got), matrixpostlie.eval_F("qr", m0, chi))
 
 
 def test_import_liebutcher_loads_no_layer():

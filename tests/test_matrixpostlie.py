@@ -179,6 +179,14 @@ class TestChecks:
         report = check_matrix_postlie_axioms(kind, n, samples=50, tol=1e-10)
         assert report["pass"]
 
+    def test_checks_run_the_identities_postlie_exports(self):
+        from liebutcher import identities, postlie
+
+        for name in ("postlie_identities", "dbracket"):
+            assert getattr(matrixpostlie, name) is getattr(postlie, name)
+            assert getattr(postlie, name) is getattr(identities, name)
+        assert postlie.associator is identities.associator
+
     def test_corrupted_projection_fails(self):
         report = check_projection_identity(
             "lu", 4, samples=20, projector=lambda m: 0.9 * np.tril(m, -1)
