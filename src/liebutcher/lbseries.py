@@ -124,9 +124,13 @@ class _Checked:
 
 
 class FieldSeries(_Checked):
-    """A vector-field series: zero constant term, vanishing on shuffles."""
+    """A vector-field series: zero constant term, vanishing on shuffles.
+
+    Given a checked series (a MethodCharacter or FieldSeries), it checks
+    the series inside; anything else but a Series is a TypeError."""
 
     def __init__(self, series: Series, validate: bool = True):
+        series = _as_series(series)
         if series.coeff(EMPTY_FOREST) != 0:
             raise ValueError("a field series must have zero constant term")
         if validate and not is_inf_character(series):
@@ -135,9 +139,11 @@ class FieldSeries(_Checked):
 
 
 class MethodCharacter(_Checked):
-    """A flow series: constant term 1, multiplicative on shuffles."""
+    """A flow series: constant term 1, multiplicative on shuffles; takes
+    its series as FieldSeries does."""
 
     def __init__(self, series: Series, validate: bool = True):
+        series = _as_series(series)
         if series.coeff(EMPTY_FOREST) != 1:
             raise ValueError("a character must have constant term 1")
         if validate and not is_character(series):
@@ -146,8 +152,13 @@ class MethodCharacter(_Checked):
 
 
 def _as_series(a) -> Series:
+    """The Series a checked series wraps, or a itself if it is a Series."""
     if isinstance(a, _Checked):
         return a.series
+    if not isinstance(a, Series):
+        raise TypeError(
+            f"expected a Series, FieldSeries or MethodCharacter, got {type(a).__name__}"
+        )
     return a
 
 

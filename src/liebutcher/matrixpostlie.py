@@ -10,18 +10,23 @@ grafting against an independent realization.
 The module imports numpy and `identities` only: the identity checks run the
 post-Lie identities of `identities` with the matrix product, and load no
 symbolic layer.  eval_F is the one bridge to the symbolic layers; it loads
-`trees`, `postlie` and `lbseries` inside the call, once per call.
+`trees`, `postlie` and `lbseries` inside the call, once per call.  It runs
+on stacks, by an evaluation plan cached per series support: one batched |>
+per level (the trees of one degree), one batched commutator per letter
+position, and a sum in term order, bit-identical to a per-tree recursion.
 
-Every public function takes one n x n matrix or a stack of them on the last
-two axes, and on a stack equals its per-matrix results exactly.  The
-identity checks run their samples as such stacks, in blocks of a fixed
-number of doubles, so memory does not grow with `samples`; their
-`projector=`/`product=` hooks receive (block, n, n) stacks.
+Every public function takes one real n x n matrix or a stack of them on the
+last two axes (a complex one is refused, not cut to its real part), and on
+a stack equals its per-matrix results exactly.  The identity checks run
+their samples as such stacks, in blocks of a fixed number of doubles, so
+memory does not grow with `samples`; their `projector=`/`product=` hooks
+receive (block, n, n) stacks.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,7 +36,6 @@ from .identities import dbracket, postlie_identities
 if TYPE_CHECKING:
     from .lbseries import FieldSeries
     from .series import Series
-    from .trees import Tree
 
 __all__ = [
     "DEFAULT_SEED",
@@ -68,8 +72,16 @@ def _check_square(m: np.ndarray) -> None:
         raise ValueError("matrices must be at least 2x2")
 
 
+def _real(m) -> np.ndarray:
+    """m as a float array; a complex m is refused, not cut to its real part."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        raise ValueError(f"expected a real matrix, got dtype {m.dtype}")
+    return m.astype(float, copy=False)
+
+
 def _square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    m = _real(m)
     _check_square(m)
     return m
 
@@ -104,14 +116,14 @@ def project_plus(kind, m) -> np.ndarray:
     return m - _pi_minus(_kind(kind), m.shape[-1])(m)
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def commutator(a, b) -> np.ndarray:
+    a, b = _real(a), _real(b)
     return a @ b - b @ a
 
 
 def mat_triangleright(kind, m, n) -> np.ndarray:
     """M |> N = -[pi_minus(M), N]."""
-    m = np.asarray(m, dtype=float)
-    n = np.asarray(n, dtype=float)
+    m, n = _real(m), _real(n)
     if m.shape != n.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {n.shape}")
     _check_square(m)
@@ -203,6 +215,10 @@ def check_matrix_postlie_axioms(
     return _sampled_check("postlie-axioms", kind, n, samples, tol, seed, 3, residuals)
 
 
+# Evaluation plans kept, one per series support.
+_PLANS = 64
+
+
 def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     """Evaluate the tree-to-matrix morphism that sends the one-node tree to m0.
 
@@ -217,40 +233,103 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     whole input is required to vanish on shuffles (the exact criterion for
     being such a combination) and each word is then folded with left-nested
     commutators and weight 1/k, which reproduces the element.  A
-    FieldSeries is taken as already checked.
+    FieldSeries is taken as already checked; any other input is checked as
+    one on every call.
+
+    The numpy work runs on stacks, laid out by the evaluation plan of the
+    series support (_plan, cached per support): one batched |> per level
+    (the trees of one degree), the other attachments subtracted one rank at
+    a time in graft_attachments order, one batched commutator per letter
+    position, and the weighted words summed one after another in term
+    order.  Each entry goes through the same floating-point operations, in
+    the same order, as in a per-tree recursion, so the result is
+    bit-identical to it, on a stack of m0 too.  The result is a fresh
+    array that owns its data.
     """
     # The symbolic layers load here, once per call and never per tree: the
     # identity checks load none of them.
     from .lbseries import FieldSeries
-    from .postlie import graft_attachments
-    from .trees import LEAF
 
     kindv = _kind(kind)
     m0 = _square(m0)
-    tr = partial(_act, _pi_minus(kindv, m0.shape[-1]))
-    memo = {LEAF: m0}
-    total = np.zeros_like(m0)
     field = a if isinstance(a, FieldSeries) else FieldSeries(a)
-    for forest, coeff in field.series.terms.items():
-        folded = _tree_value(tr, graft_attachments, forest.trees[0], memo)
-        for t in forest.trees[1:]:
-            folded = commutator(folded, _tree_value(tr, graft_attachments, t, memo))
-        total = total + (float(coeff) / len(forest.trees)) * folded
-    return total
+    terms = field.series.terms
+    size, levels, first, letters, order, lengths = _plan(tuple(terms))
+    minus = _pi_minus(kindv, m0.shape[-1])
+    values = np.empty((size,) + m0.shape)
+    values[0] = m0
+    for start, stop, heads, rests, steps in levels:
+        values[start:stop] = _act(minus, values[heads], values[rests])
+        for lo, hi, others in steps:
+            values[lo:hi] -= values[others]
+    folded = values[first]
+    for count, rows in letters:
+        folded[:count] = commutator(folded[:count], values[rows])
+    weights = np.array([float(c) for c in terms.values()]) / lengths
+    acc = np.zeros((len(terms) + 1,) + m0.shape)
+    np.multiply(weights.reshape((-1,) + (1,) * m0.ndim), folded[order], out=acc[1:])
+    return np.cumsum(acc, axis=0, out=acc)[-1].copy()
 
 
-def _tree_value(tr, attach, t: Tree, memo: dict) -> np.ndarray:
-    """F(t) for eval_F, with tr the unchecked |> and attach
-    postlie.graft_attachments; memo maps the trees done so far to F,
-    F(leaf) = m0."""
-    out = memo.get(t)
-    if out is not None:
-        return out
-    head = t.children[0]
-    rest = type(t)(t.children[1:])  # a trees.Tree, built without importing trees here
-    out = tr(_tree_value(tr, attach, head, memo), _tree_value(tr, attach, rest, memo))
-    for attached in attach(head, rest):
-        if attached != t:
-            out = out - _tree_value(tr, attach, attached, memo)
-    memo[t] = out
-    return out
+@lru_cache(maxsize=_PLANS)
+def _plan(support: tuple) -> tuple:
+    """eval_F's evaluation plan for the forests of a series, in term order:
+    (size, levels, first, letters, order, lengths).
+
+    Each tree a letter needs, and each tree it is solved from (its head, its
+    rest and its other attachments), gets one of `size` rows of the value
+    stack; row 0 is the one-node tree.  Rows are sorted by (degree, root
+    arity, number of other attachments, most first).  The trees of one
+    degree form a level (start, stop, head rows, rest rows, steps): their
+    heads and rests have lower degree, so the level's |> reads earlier
+    levels only.  Its steps (lo, hi, rows) then run by root arity, since
+    another attachment has the same degree and one child fewer at the root,
+    and within an arity by rank: step r subtracts the rank-r other
+    attachments from the trees that have more than r of them, a prefix of
+    the arity's rows.  Words are ordered longest first: `first` holds each
+    word's first letter, and `letters` a (count, rows) pair per later
+    position, whose words are a prefix too.  `order` gives each term's
+    word in that order, and `lengths` its number of letters.
+    """
+    from .postlie import graft_attachments
+    from .trees import LEAF, Tree
+
+    solved = {}  # tree -> (head, rest, other attachments in graft order)
+    pending = [t for forest in support for t in forest.trees]
+    while pending:
+        t = pending.pop()
+        if t is LEAF or t in solved:
+            continue
+        head, rest = t.children[0], Tree(t.children[1:])
+        others = tuple(x for x in graft_attachments(head, rest) if x is not t)
+        solved[t] = (head, rest, others)
+        pending += (head, rest, *others)
+    trees = sorted(solved, key=lambda t: (t.degree, len(t.children), -len(solved[t][2])))
+    row = {LEAF: 0, **{t: i for i, t in enumerate(trees, 1)}}
+
+    def rows(ts):
+        return np.array([row[t] for t in ts], dtype=np.intp)
+
+    levels = []
+    for _, block in groupby(trees, key=lambda t: t.degree):
+        block = list(block)
+        start = row[block[0]]
+        heads, rests, _ = zip(*(solved[t] for t in block))
+        steps = []
+        for _, sub in groupby(block, key=lambda t: len(t.children)):
+            sub = list(sub)
+            others = [solved[t][2] for t in sub]
+            for r in range(len(others[0])):
+                ranked = [o[r] for o in others if len(o) > r]
+                steps.append((row[sub[0]], row[sub[0]] + len(ranked), rows(ranked)))
+        levels.append((start, start + len(block), rows(heads), rows(rests), tuple(steps)))
+    lengths = [len(forest.trees) for forest in support]
+    words = sorted(range(len(support)), key=lambda i: -lengths[i])
+    letters = []
+    for k in range(1, max(lengths, default=0)):
+        long = [support[i].trees[k] for i in words if lengths[i] > k]
+        letters.append((len(long), rows(long)))
+    order = np.empty(len(support), dtype=np.intp)
+    order[words] = np.arange(len(support))
+    first = rows(support[i].trees[0] for i in words)
+    return len(row), tuple(levels), first, tuple(letters), order, np.array(lengths, dtype=float)

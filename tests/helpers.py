@@ -10,13 +10,20 @@ from functools import partial
 
 import numpy as np
 
-from liebutcher.lbseries import Defect, field_generator
+from liebutcher.lbseries import Defect, FieldSeries, field_generator
 from liebutcher.matrixpostlie import commutator, mat_triangleright, project_minus
-from liebutcher.postlie import GraftExtension, bracket, dbracket, postlie_identities
+from liebutcher.postlie import (
+    GraftExtension,
+    bracket,
+    dbracket,
+    graft_attachments,
+    postlie_identities,
+)
 from liebutcher.series import Series, deshuffle, min_trunc, shuffle
 from liebutcher.sphere import ConvergenceError, norm_defect, rot_exp
 from liebutcher.trees import (
     EMPTY_FOREST,
+    LEAF,
     Forest,
     Tree,
     enumerate_forests,
@@ -314,6 +321,34 @@ def per_sample_matrix_check(check: str, kind: str, n: int, samples: int = 100,
         "pass": worst <= tol,
         "seed": seed,
     }
+
+
+def recursive_eval_F(kind: str, m0, a) -> np.ndarray:
+    """eval_F oracle: one tree at a time, by the grafting relation
+    F(t) = F(head) |> F(rest) - F(other attachments) recursed through a
+    memo, each word folded by left-nested commutators and the terms summed
+    one by one in term order.  The input is checked as a field series."""
+    series = a.series if isinstance(a, FieldSeries) else FieldSeries(a).series
+    m0 = np.asarray(m0, dtype=float)
+    memo = {LEAF: m0}
+
+    def value(t: Tree) -> np.ndarray:
+        if t not in memo:
+            head, rest = t.children[0], Tree(t.children[1:])
+            out = mat_triangleright(kind, value(head), value(rest))
+            for attached in graft_attachments(head, rest):
+                if attached != t:
+                    out = out - value(attached)
+            memo[t] = out
+        return memo[t]
+
+    total = np.zeros_like(m0)
+    for forest, coeff in series.terms.items():
+        folded = value(forest.trees[0])
+        for t in forest.trees[1:]:
+            folded = commutator(folded, value(t))
+        total = total + (float(coeff) / len(forest.trees)) * folded
+    return total
 
 
 def csv_module_trajectory(points, csv_path=None) -> None:

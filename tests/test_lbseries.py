@@ -13,6 +13,7 @@ from helpers import (
     random_lie_monomial,
     random_lie_series,
     shuffle_oracle,
+    subset_deshuffle_forest,
 )
 from liebutcher.lbseries import (
     METHOD_CHARACTERS,
@@ -116,6 +117,20 @@ class TestWrappers:
         with pytest.raises(ValueError):
             MethodCharacter(Series.unit(4) + Series.of("[[]]", 1, 4))
         MethodCharacter(Series.unit(4) + Series.of("[[]]", 1, 4), validate=False)
+
+    def test_wrappers_check_the_series_a_checked_one_holds(self):
+        char, field = exp_concat(field_generator(3), 3), magnus_chi(field_generator(3), 3)
+        with pytest.raises(ValueError, match="a field series must have zero constant term"):
+            FieldSeries(char)
+        with pytest.raises(ValueError, match="a character must have constant term 1"):
+            MethodCharacter(field)
+        assert FieldSeries(field) == field and MethodCharacter(char) == char
+
+    @pytest.mark.parametrize("cls", [FieldSeries, MethodCharacter])
+    @pytest.mark.parametrize("bad, name", [("x", "str"), (None, "NoneType"), (1, "int")])
+    def test_wrappers_refuse_a_non_series(self, cls, bad, name):
+        with pytest.raises(TypeError, match=f"expected a Series.*got {name}$"):
+            cls(bad)
 
 
 def _assert_predicates_match_oracle(s):
@@ -256,6 +271,19 @@ def _shuffle_rows(n):
     return forests, rows
 
 
+def _proper_split_rows(n):
+    """The degree-n forests, and per proper split (u, v) of total degree n
+    its row of the map a -> sum over f of a_f times the weight of (u, v) in
+    deshuffle(f), each forest's coproduct taken by the subset oracle."""
+    forests = enumerate_forests(n)
+    rows = {}
+    for j, f in enumerate(forests):
+        for (u, v), m in subset_deshuffle_forest(f):
+            if u.trees and v.trees:
+                rows.setdefault((u, v), [Fraction(0)] * len(forests))[j] += m
+    return forests, rows
+
+
 def _nullspace(rows, ncols):
     """A basis of {x : row . x = 0 for every row}, by Fraction elimination."""
     rows = [list(r) for r in rows]
@@ -284,7 +312,8 @@ def _nullspace(rows, ncols):
 class TestLieDimension:
     """Infinitesimal characters of degree n vanish on every shuffle, so they
     form the orthogonal complement of the shuffle products: dimension C_n
-    minus their rank, which must be the Lie dimension l_n."""
+    minus their rank, which must be the Lie dimension l_n.  Dually they are
+    the kernel of the map to the proper splits of the coproduct."""
 
     def test_lie_dims_generate_the_forest_counts(self):
         counts = [1] + [0] * len(LIE_DIMS)
@@ -304,6 +333,21 @@ class TestLieDimension:
             assert is_inf_character(a)
             for row in rows[:3]:
                 assert not is_inf_character(a + Series(dict(zip(forests, row))))
+
+    @pytest.mark.parametrize("n", range(1, len(LIE_DIMS) + 1))
+    def test_proper_split_kernel_is_the_lie_part(self, n):
+        # the field check's own criterion as a linear map: its kernel
+        forests, rows = _proper_split_rows(n)
+        basis = _nullspace(list(rows.values()), len(forests))
+        assert len(basis) == LIE_DIMS[n - 1]
+        outside = [Series.of(f) for f in forests if len(f.trees) > 1]
+        assert len(outside) == len(forests) - len(enumerate_trees(n))
+        assert not any(is_inf_character(e) for e in outside)
+        for x in basis:
+            a = Series(dict(zip(forests, x)))
+            assert a and is_inf_character(a)
+            for e in outside[:3]:
+                assert not is_inf_character(a + e)
 
 
 class TestExponentials:

@@ -1,13 +1,14 @@
 import gc
+import sys
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers import S, per_sample_matrix_check
+from helpers import S, per_sample_matrix_check, recursive_eval_F
 from liebutcher import matrixpostlie
-from liebutcher.lbseries import field_generator, magnus_chi
+from liebutcher.lbseries import exp_concat, field_generator, magnus_chi
 from liebutcher.matrixpostlie import (
     check_matrix_postlie_axioms,
     check_projection_identity,
@@ -394,3 +395,127 @@ class TestEvalF:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+CHIS = {d: magnus_chi(field_generator(d), d) for d in range(1, 7)}
+
+
+def assert_oracle(kind, m0, a):
+    got = eval_F(kind, m0, a)
+    want = recursive_eval_F(kind, m0, a)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.array_equal(got, want)
+    return got
+
+
+class TestEvalFPlan:
+    """eval_F on its cached plan is bit-identical to the per-tree recursion
+    (helpers.recursive_eval_F), whatever the support, its order or its
+    coefficients."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_chi_equals_the_recursion(self, kind, n):
+        rng = np.random.default_rng(100 + n)
+        for chi in CHIS.values():
+            for m0 in rng.uniform(-1, 1, (2, n, n)):
+                got = assert_oracle(kind, m0, chi)
+                assert np.array_equal(assert_oracle(kind, m0, chi.series), got)
+            assert_oracle(kind, rng.uniform(-1, 1, (3, n, n)), chi)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nested_brackets_up_to_six_letters(self, kind):
+        m0 = np.random.default_rng(12).uniform(-1, 1, (3, 3))
+        letters = [S(t) for t in ("[[]]", "[]", "[[[]]]", "[[] []]", "[]", "[[[] []]]")]
+        left = right = letters[0]
+        for k, x in enumerate(letters[1:], 2):
+            left = bracket(left, x)  # [[[a, b], c], ..]
+            right = bracket(x, right)  # [.., [c, [b, a]]]
+            for word in (left, right, left + right * 3):
+                assert max(len(f.trees) for f in word.terms) == k
+                assert_oracle(kind, m0, word)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_series_gives_zeros(self, kind):
+        for m0 in (np.eye(3), np.ones((2, 4, 4))):
+            got = eval_F(kind, m0, Series.zero(4))
+            assert got.shape == m0.shape and not got.any()
+            assert np.array_equal(got, recursive_eval_F(kind, m0, Series.zero(4)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_term_order_is_the_summation_order(self, kind):
+        m0 = np.random.default_rng(13).uniform(-1, 1, (4, 4))
+        chi = CHIS[6].series
+        flipped = Series(dict(reversed(chi.terms.items())), chi.trunc)
+        assert flipped == chi and list(flipped.terms) != list(chi.terms)
+        a, b = assert_oracle(kind, m0, chi), assert_oracle(kind, m0, flipped)
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_changed_coefficients_on_a_cached_support(self):
+        m0 = np.random.default_rng(14).uniform(-1, 1, (4, 4))
+        chi = CHIS[5].series
+        first = assert_oracle("lu", m0, chi)
+        # each degree's part of a field is a field: scale the parts apart
+        scaled = Series({f: c * (f.degree + 1) for f, c in chi.terms.items()}, chi.trunc)
+        hits = matrixpostlie._plan.cache_info().hits
+        got = assert_oracle("lu", m0, scaled)
+        assert matrixpostlie._plan.cache_info().hits == hits + 1
+        assert not np.array_equal(got, first)
+
+    def test_repeat_call_hits_the_plan_cache(self):
+        m0 = np.eye(4) + np.tri(4, 4, -1)
+        eval_F("qr", m0, CHIS[4])
+        before = matrixpostlie._plan.cache_info()
+        eval_F("qr", m0, CHIS[4])
+        after = matrixpostlie._plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert after.maxsize is not None  # bounded
+
+    def test_kept_results_hold_one_matrix_each(self):
+        chi = CHIS[5]
+        m0 = np.random.default_rng(15).uniform(-1, 1, (4, 4))
+        result = eval_F("lu", m0, chi)
+        assert result.base is None and result.flags.owndata
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            kept = [eval_F("lu", m0, chi) for _ in range(2000)]
+            per_result = (tracemalloc.get_traced_memory()[0] - start) / len(kept)
+        finally:
+            tracemalloc.stop()
+        # one 4x4 array with its header, and the list slot; a view into the
+        # (terms + 1, 4, 4) sum would keep 55 matrices alive
+        assert per_result < 2 * (sys.getsizeof(result) + 8), per_result
+
+
+class TestRejectedInputs:
+    """Complex matrices are refused, not cut to their real part, and eval_F
+    refuses what is not a field series with the error that names why."""
+
+    M = np.eye(3) + 0j
+
+    @pytest.mark.parametrize("call", [
+        lambda m: project_minus("lu", m),
+        lambda m: project_plus("qr", m),
+        lambda m: commutator(m, np.eye(3)),
+        lambda m: commutator(np.eye(3), m),
+        lambda m: mat_triangleright("lu", m, np.eye(3)),
+        lambda m: mat_triangleright("lu", np.eye(3), m),
+        lambda m: eval_F("lu", m, S("[]")),
+        lambda m: eval_F("qr", np.stack([m, m]), CHIS[3]),
+        lambda m: eval_F("lu", m.tolist(), CHIS[3]),
+    ])
+    def test_complex_matrices(self, call):
+        with pytest.raises(ValueError, match="real matrix.*complex"):
+            call(self.M)
+
+    def test_a_character_is_not_a_field(self):
+        char = exp_concat(field_generator(3), 3)
+        with pytest.raises(ValueError, match="zero constant term"):
+            eval_F("lu", np.eye(3), char)
+
+    @pytest.mark.parametrize("bad, name", [("x", "str"), (None, "NoneType"), ({}, "dict")])
+    def test_a_non_series(self, bad, name):
+        with pytest.raises(TypeError, match=name):
+            eval_F("lu", np.eye(3), bad)
