@@ -24,21 +24,26 @@ DEFAULT_DEGREE = 4
 METHODS = ("lie-euler", "lie-midpoint")
 
 
+def _print(*lines: str) -> None:
+    """The lines, each ended by a newline, in one stdout write: with
+    PYTHONUNBUFFERED set, stdout writes through, and each print costs two
+    write calls."""
+    sys.stdout.write("".join(line + "\n" for line in lines))
+
+
 def _print_json(body) -> None:
     """Strict JSON on stdout: a NaN or infinity raises ValueError (exit 1)."""
     import json
-    print(json.dumps(body, allow_nan=False))
+    _print(json.dumps(body, allow_nan=False))
 
 
 def _emit_series(s, fmt: str) -> None:
     if fmt == "json":
         _print_json(s.to_json())
-        return
-    if not s.terms:
-        print("0")
-        return
-    for f in s.support():
-        print(f"{s.terms[f]}\t{f.text}")
+    elif not s.terms:
+        _print("0")
+    else:
+        _print(*(f"{s.terms[f]}\t{f.text}" for f in s.support()))
 
 
 def _load_operand(text: str, degree: int | None):
@@ -110,9 +115,9 @@ def _cmd_order(args) -> int:
     if args.format == "json":
         _print_json(report)
     elif defect is None:
-        print(f"order >= {order} (no defect through degree {n})")
+        _print(f"order >= {order} (no defect through degree {n})")
     else:
-        print(
+        _print(
             f"order {order}: first defect at degree {defect.degree} on "
             f"{defect.forest.text} ({defect.lhs} vs {defect.rhs})"
         )
@@ -131,10 +136,9 @@ def _cmd_enumerate(args) -> int:
             body["items"] = items
         _print_json(body)
     elif args.count_only:
-        print(len(items))
+        _print(str(len(items)))
     else:
-        for line in items:
-            print(line)
+        _print(*items)
     return 0
 
 
@@ -155,9 +159,9 @@ def _cmd_axioms(args) -> int:
         if args.format == "json":
             _print_json(body)
         elif report.passed:
-            print(f"pass: both identities hold on {report.triples} tree triples")
+            _print(f"pass: both identities hold on {report.triples} tree triples")
         else:
-            print(f"FAIL after {report.triples} triples: {report.witness}")
+            _print(f"FAIL after {report.triples} triples: {report.witness}")
         return 0 if report.passed else 1
     kind = args.kind
     if kind is None:
@@ -169,12 +173,11 @@ def _cmd_axioms(args) -> int:
     if args.format == "json":
         _print_json(reports)
     else:
-        for r in reports:
-            verdict = "pass" if r["pass"] else "FAIL"
-            print(
-                f"{r['check']} [{r['kind']}, n={r['n']}, samples={r['samples']}]: "
-                f"{verdict} (max residual {r['max_residual']:.3e})"
-            )
+        _print(*(
+            f"{r['check']} [{r['kind']}, n={r['n']}, samples={r['samples']}]: "
+            f"{'pass' if r['pass'] else 'FAIL'} (max residual {r['max_residual']:.3e})"
+            for r in reports
+        ))
     return 0 if all(r["pass"] for r in reports) else 1
 
 
@@ -191,14 +194,14 @@ def _rigid_body():
 
 
 def _write_rows(out, points, norm_defect, end: str) -> None:
-    """The trajectory as CSV rows, each formatted once and written in one pass.
+    """The trajectory as CSV rows, each formatted once, in one write.
 
     A float's repr never needs CSV quoting, so this is what the csv module's
     excel dialect writes when `end` is "\r\n".
     """
     row = "%r,%r,%r,%r,%r" + end
-    out.write("t,y1,y2,y3,norm_defect" + end)
-    out.writelines(row % (t, *y, norm_defect(y)) for t, y in points)
+    rows = (row % (t, *y, norm_defect(y)) for t, y in points)
+    out.write("t,y1,y2,y3,norm_defect" + end + "".join(rows))
 
 
 def _cmd_integrate(args) -> int:
@@ -221,7 +224,7 @@ def _cmd_integrate(args) -> int:
     elif not args.csv:
         _write_rows(sys.stdout, points, sphere.norm_defect, "\n")
     else:
-        print(f"wrote {len(points)} rows to {args.csv}")
+        _print(f"wrote {len(points)} rows to {args.csv}")
     return 0
 
 
@@ -233,12 +236,12 @@ def _cmd_converge(args) -> int:
     if args.format == "json":
         _print_json(report)
     else:
-        for h, e in zip(report["h"], report["errors"]):
-            print(f"h={h:g}  error={e:.6e}")
+        lines = [f"h={h:g}  error={e:.6e}" for h, e in zip(report["h"], report["errors"])]
         if report["slope"] is None:
-            print("slope: exact (zero error against reference)")
+            lines.append("slope: exact (zero error against reference)")
         else:
-            print(f"slope {report['slope']:.4f}")
+            lines.append(f"slope {report['slope']:.4f}")
+        _print(*lines)
     return 0
 
 

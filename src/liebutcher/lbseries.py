@@ -8,17 +8,16 @@ represent vector fields.  The concatenation exponential produces the
 frozen-field Euler flow, the Grossman-Larson exponential the exact flow,
 and the Magnus-type map chi links the two: exp_concat(a) = exp_gl(chi(a)).
 
-The field check reads the deshuffle coproduct instead of evaluating on
+Both predicates read the deshuffle coproduct instead of evaluating on
 shuffles: <a, u sh v> is the weight of (u, v) in deshuffle(a), so a is
 infinitesimal iff its coproduct is a (x) 1 + 1 (x) a (Friedrichs'
-criterion).  Past the constant term it sums integer weights on the proper
-splits (both sides non-empty) only, since no other split can break the
-criterion; it reads the per-forest memo series.deshuffle_forest, which is
-built letter by letter.  It is the one coproduct reader: a series with
-constant term 1 is a character iff its concatenation logarithm is a field
-(Ree's theorem), so the character check runs the field check on that
-logarithm.  Both exponentials and both logarithms share one power-series
-loop.
+criterion) and a character iff it is a (x) a (group-like).  Past the
+constant term only the proper splits (both sides non-empty) can break
+either criterion, so one reader sums integer weights on those splits of
+forests of two or more trees, from the per-forest memo
+series.deshuffle_forest, which is built letter by letter.  A field needs
+every sum to be 0, a character needs a_u a_v; no logarithm is taken.  Both
+exponentials and the logarithm share one power-series loop.
 The midpoint stage is a graded fixed point: round r solves at truncation r
 only, so the rounds cost the sum of their own truncations' costs; every
 product runs through the graded integer kernel series.bilinear.
@@ -27,7 +26,7 @@ product runs through the graded integer kernel series.bilinear.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .postlie import gl_product, triangleright
@@ -67,16 +66,13 @@ def _bound(a: Series) -> int:
     return a.trunc if a.trunc is not None else a.max_degree()
 
 
-def is_inf_character(a: Series) -> bool:
-    """True iff a kills 1 and u sh v for u, v != 1: deshuffle(a) = a (x) 1 + 1 (x) a.
+def _proper_split_sums(a: Series) -> tuple[int, dict]:
+    """The lcm den of a's denominators, and per proper split (u, v) the sum
+    of den * <a, f> times the multiplicity of (u, v) in deshuffle(f).
 
-    The trivial splits (1, f) and (f, 1) always meet the criterion, and a
-    single tree has no other, so only forests of two or more trees are read.
-    Their weights are integer numerators over the lcm of a's denominators,
-    summed per proper split (both sides non-empty); every sum must be 0.
+    The trivial splits (1, f) and (f, 1) and a single tree's only splits
+    are skipped, so only forests of two or more trees are read.
     """
-    if a.terms.get(EMPTY_FOREST):
-        return False
     den = math.lcm(*(c.denominator for c in a.terms.values()))
     sums: dict = {}
     for f, c in a.terms.items():
@@ -86,27 +82,46 @@ def is_inf_character(a: Series) -> bool:
         for (u, v), m in deshuffle_forest(f):
             if u.trees and v.trees:
                 sums[u, v] = sums.get((u, v), 0) + w * m
-    return not any(sums.values())
+    return den, sums
+
+
+def is_inf_character(a: Series) -> bool:
+    """True iff a kills 1 and u sh v for u, v != 1: deshuffle(a) = a (x) 1 + 1 (x) a.
+
+    The trivial splits always meet the criterion, so every proper-split
+    sum must be 0.
+    """
+    if a.terms.get(EMPTY_FOREST):
+        return False
+    return not any(_proper_split_sums(a)[1].values())
 
 
 def is_character(a: Series) -> bool:
     """True iff a is multiplicative on shuffles: deshuffle(a) = a (x) a.
 
     Pairs range over total degree up to the truncation, or the support
-    degree when the series is exact.  With constant term 1, a is a
-    character iff its concatenation logarithm is a field (Ree's theorem);
-    the degree-m part of the logarithm reads a only through degree m, so
-    this holds at every truncation.  The lower half is checked first: on a
-    non-character the full logarithm can be far larger than a (seconds for
-    1 plus the four trees of degree <= 3 at truncation 14, which the
-    halving refuses at truncation 3 in under a millisecond).
+    degree when the series is exact.  With constant term 1 the trivial
+    splits always hold, so every non-zero proper-split sum must be
+    den * a_u * a_v, checked in integers.  A pair with a_u a_v != 0 that no
+    split reaches is caught by counting: the non-zero sums must be as many
+    as the ordered pairs of non-empty support forests with deg u + deg v
+    <= the bound, counted from the support's per-degree histogram.
     """
     if a.coeff(EMPTY_FOREST) != 1:
         return not a.terms  # only the zero series
     n = _bound(a)
-    return (n < 2 or is_character(a.truncated(n // 2))) and is_inf_character(
-        _series_log(a, concat)
-    )
+    per_degree = Counter(f.degree for f in a.terms)
+    pairs = sum(per_degree[p] * per_degree[q] for p in range(1, n) for q in range(1, n - p + 1))
+    den, sums = _proper_split_sums(a)
+    zero, found = Fraction(0), 0
+    for (u, v), s in sums.items():
+        if s:
+            cu, cv = a.terms.get(u, zero), a.terms.get(v, zero)
+            # s / den == cu * cv, cross-multiplied
+            if s * cu.denominator * cv.denominator != den * cu.numerator * cv.numerator:
+                return False
+            found += 1
+    return found == pairs
 
 
 class _Checked:
@@ -182,13 +197,6 @@ def _series_exp(a: Series, n: int, product) -> Series:
     )
 
 
-def _series_log(s: Series, product) -> Series:
-    """log(s) under product, truncated at s's bound; s has constant term 1."""
-    n = _bound(s)
-    x = (s - Series.unit(s.trunc)).truncated(n)
-    return _power_series(x, n, product, lambda k: Fraction((-1) ** (k + 1), k))
-
-
 def exp_concat(a, n: int, validate: bool = True) -> MethodCharacter:
     """Concatenation exponential, truncated at degree n (frozen-field flow)."""
     return MethodCharacter(_series_exp(_as_series(a), n, concat), validate=validate)
@@ -204,7 +212,10 @@ def log_gl(c, validate: bool = True) -> FieldSeries:
     s = _as_series(c)
     if s.coeff(EMPTY_FOREST) != 1:
         raise ValueError("logarithm requires constant term 1")
-    return FieldSeries(_series_log(s, gl_product), validate=validate)
+    n = _bound(s)
+    x = (s - Series.unit(s.trunc)).truncated(n)
+    log = _power_series(x, n, gl_product, lambda k: Fraction((-1) ** (k + 1), k))
+    return FieldSeries(log, validate=validate)
 
 
 def magnus_chi(a, n: int, validate: bool = True) -> FieldSeries:

@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 
-from liebutcher.lbseries import Defect, FieldSeries, field_generator
+from liebutcher.lbseries import Defect, FieldSeries, field_generator, is_inf_character
 from liebutcher.matrixpostlie import commutator, mat_triangleright, project_minus
 from liebutcher.postlie import (
     GraftExtension,
@@ -19,7 +19,7 @@ from liebutcher.postlie import (
     graft_attachments,
     postlie_identities,
 )
-from liebutcher.series import Series, deshuffle, min_trunc, shuffle
+from liebutcher.series import Series, concat, deshuffle, min_trunc, shuffle
 from liebutcher.sphere import ConvergenceError, norm_defect, rot_exp
 from liebutcher.trees import (
     EMPTY_FOREST,
@@ -224,6 +224,27 @@ def fraction_is_character(a: Series) -> bool:
         if u.degree + v.degree <= n
     }
     return deshuffle(a) == square
+
+
+def ree_is_character(a: Series) -> bool:
+    """Predicate oracle by Ree's theorem: a series with constant term 1 is
+    a character iff its concatenation logarithm is a field.  The degree-m
+    part of the logarithm reads a only through degree m, so the lower half
+    of the degrees is checked first, and a defect there never pays for
+    the full logarithm."""
+    if a.coeff(EMPTY_FOREST) != 1:
+        return not a.terms  # only the zero series
+    n = _bound(a)
+    if n >= 2 and not ree_is_character(a.truncated(n // 2)):
+        return False
+    x = (a - Series.unit(a.trunc)).truncated(n)
+    log, power = Series.zero(n), Series.unit(n)
+    for k in range(1, n + 1):
+        power = concat(power, x)
+        if not power:
+            break
+        log = log + power * Fraction((-1) ** (k + 1), k)
+    return is_inf_character(log)
 
 
 def iterated_lie_midpoint_field(n: int) -> Series:

@@ -1,7 +1,9 @@
 import csv
+import io
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -622,3 +624,33 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["product", "[]", "[]"])
         assert exc.value.code == 2
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("integrate", "--method", "lie-euler", "--h", "0.01", "--steps", "200"),
+        ("magnus", "--degree", "5"),
+        ("exp", "--kind", "gl", "--degree", "4", "--format", "json"),
+        ("enumerate", "--what", "forests", "--degree", "4"),
+        ("converge", "--method", "lie-euler", "--hs", "0.1,0.05,0.025", "--refine", "4"),
+    ],
+    ids=["integrate", "series-text", "series-json", "enumerate", "converge"],
+)
+def test_a_response_is_one_stdout_write(monkeypatch, argv):
+    # with PYTHONUNBUFFERED set each write is a system call: one per line before
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(list(argv)) == 0
+    assert out.getvalue().count("\n") >= 2 or argv[-1] == "json"
+    assert out.writes <= 2

@@ -20,6 +20,7 @@ from helpers import (
     fraction_is_inf_character,
     iterated_lie_midpoint_field,
     random_lie_series,
+    ree_is_character,
 )
 from liebutcher.lbseries import (
     FieldSeries,
@@ -28,13 +29,14 @@ from liebutcher.lbseries import (
     field_generator,
     is_character,
     is_inf_character,
+    lie_euler_character,
     lie_midpoint_character,
     lie_midpoint_field,
     magnus_chi,
 )
 from liebutcher.postlie import GraftExtension, bracket
 from liebutcher.series import Series, _concat_basis, _shuffle_basis, bilinear
-from liebutcher.trees import EMPTY_FOREST, Forest, enumerate_forests
+from liebutcher.trees import EMPTY_FOREST, LEAF, Forest, enumerate_forests, enumerate_trees
 
 _EXT = GraftExtension()
 
@@ -178,6 +180,63 @@ class TestPredicatesAgainstFractionCoproduct:
         assert not is_character(p) and not fraction_is_character(p)
 
 
+CHARACTERS = {
+    "exact-flow": exact_flow_character,
+    "lie-euler": lie_euler_character,
+    "lie-midpoint": lie_midpoint_character,
+}
+
+
+def _character_verdict(s):
+    """is_character's verdict, asserted equal to both oracles'."""
+    verdict = is_character(s)
+    assert ree_is_character(s) is verdict, s
+    assert fraction_is_character(s) is verdict, s
+    return verdict
+
+
+def _character_perturbations(n):
+    """(label, forest) inside degree n: a tree below the top degree (or the
+    one-node tree at n = 1), a two-letter word, the word of n one-node
+    trees, and the empty forest."""
+    tree = enumerate_trees(max(n - 1, 1))[0]
+    out = [("tree", Forest((tree,)))]
+    if n >= 2:
+        out.append(("two-letter word", Forest((LEAF, tree))))
+    out += [("deep word", Forest((LEAF,) * n)), ("constant term", EMPTY_FOREST)]
+    return out
+
+
+class TestCharacterOffTheCoproduct:
+    """is_character reads deshuffle(a) = a (x) a straight off the coproduct;
+    it agrees with Ree's theorem on the concatenation logarithm and with the
+    Fraction coproduct."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("name", sorted(CHARACTERS))
+    def test_method_characters_and_their_perturbations(self, name, n):
+        s = CHARACTERS[name](n).series
+        assert _character_verdict(s) is True
+        for label, f in _character_perturbations(n):
+            # a single tree of the top degree is read by no pair
+            unread = len(f.trees) == 1 and f.degree == n
+            assert _character_verdict(_perturb(s, f, Fraction(-2, 3))) is unread, label
+        _character_verdict(Series(s.terms))
+        assert _character_verdict(Series(s.terms, 0)) is True
+
+    @pytest.mark.parametrize(
+        "s",
+        [Series.unit(0), Series.zero(0), 2 * Series.unit(0), Series.unit(), Series.zero()],
+        ids=["unit-trunc0", "zero-trunc0", "twice-unit-trunc0", "unit-exact", "zero-exact"],
+    )
+    def test_trunc_0_and_exact_edges(self, s):
+        _character_verdict(s)
+
+    def test_pair_count_refuses_what_no_split_reads(self):
+        # [] has no proper split, so only the count sees <a, [] sh []> != a([])^2
+        assert _character_verdict(Series.unit(2) + S("[]")) is False
+
+
 class TestFieldCheckInIntegers:
     """is_inf_character sums integer weights over proper splits only."""
 
@@ -234,4 +293,4 @@ def test_predicates_match_the_fraction_coproduct(trunc, seed, flow, edits, exact
     if exact:
         s = Series(s.terms)
     assert is_inf_character(s) == fraction_is_inf_character(s)
-    assert is_character(s) == fraction_is_character(s)
+    assert is_character(s) == fraction_is_character(s) == ree_is_character(s)

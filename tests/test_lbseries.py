@@ -15,6 +15,7 @@ from helpers import (
     shuffle_oracle,
     subset_deshuffle_forest,
 )
+from liebutcher import lbseries
 from liebutcher.lbseries import (
     METHOD_CHARACTERS,
     FieldSeries,
@@ -217,8 +218,8 @@ class TestPredicatesAgainstOracle:
         _assert_predicates_match_oracle(s)
 
     def test_sparse_non_character_is_refused_fast(self):
-        # the full concatenation logarithm of this series takes seconds; the
-        # lower half already fails at degree 2
+        # its full concatenation logarithm takes seconds; the pair count
+        # refuses it at once, since no proper split reaches ([], [])
         s = Series.unit(14)
         for d in (1, 2, 3):
             for t in enumerate_trees(d):
@@ -226,6 +227,16 @@ class TestPredicatesAgainstOracle:
         start = time.perf_counter()
         assert not is_character(s)
         assert time.perf_counter() - start < 1.0
+
+    def test_character_check_takes_no_logarithm(self, monkeypatch):
+        s = exact_flow_character(6).series
+
+        def refuse(*args):
+            raise AssertionError("the character check took a product")
+
+        monkeypatch.setattr(lbseries, "concat", refuse)
+        monkeypatch.setattr(lbseries, "gl_product", refuse)
+        assert is_character(s)
 
 
 @st.composite
