@@ -35,7 +35,8 @@ _EXPORTS = {
         "series",
     ),
     **dict.fromkeys(
-        ("bracket", "check_postlie_axioms", "dbracket", "gl_product", "graft", "triangleright"),
+        ("bracket", "check_postlie_axioms", "clear_caches", "dbracket", "gl_product", "graft",
+         "triangleright"),
         "postlie",
     ),
     **dict.fromkeys(

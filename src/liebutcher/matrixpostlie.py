@@ -14,6 +14,8 @@ symbolic layer.  eval_F is the one bridge to the symbolic layers; it loads
 on stacks, by an evaluation plan cached per series support: one batched |>
 per level (the trees of one degree), one batched commutator per letter
 position, and a sum in term order, bit-identical to a per-tree recursion.
+The plan's cache entry also keeps the coefficients eval_F last checked as
+a field on that support, so a repeat call on them is not checked again.
 
 Every public function takes one real n x n matrix or a stack of them on the
 last two axes (a complex one is refused, not cut to its real part), and on
@@ -233,8 +235,13 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     whole input is required to vanish on shuffles (the exact criterion for
     being such a combination) and each word is then folded with left-nested
     commutators and weight 1/k, which reproduces the element.  A
-    FieldSeries is taken as already checked; any other input is checked as
-    one on every call.
+    FieldSeries is taken as already checked.  Any other input is checked as
+    one before a plan is laid out for it, unless its coefficients equal the
+    ones this function last checked on the same support: the support's
+    cache entry keeps those Fraction objects (immutable, so a repeat call on
+    them compares by identity) with their float weights.  Only a check run
+    here is recorded, so a FieldSeries whose series changed after it was
+    checked never vouches for a plain Series.
 
     The numpy work runs on stacks, laid out by the evaluation plan of the
     series support (_plan, cached per support): one batched |> per level
@@ -248,13 +255,26 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     """
     # The symbolic layers load here, once per call and never per tree: the
     # identity checks load none of them.
-    from .lbseries import FieldSeries
+    from .lbseries import FieldSeries, _as_series
 
     kindv = _kind(kind)
     m0 = _square(m0)
-    field = a if isinstance(a, FieldSeries) else FieldSeries(a)
-    terms = field.series.terms
-    size, levels, first, letters, order, lengths = _plan(tuple(terms))
+    terms = _as_series(a).terms
+    support, coeffs = tuple(terms), tuple(terms.values())
+    plan = _plan(support)
+    checked = plan.checked
+    if checked is not None and checked[0] == coeffs:
+        weights = checked[1]
+    else:
+        trusted = isinstance(a, FieldSeries)
+        if not trusted:
+            FieldSeries(a)
+        if plan.layout is None:
+            plan.layout = _layout(support)
+        weights = np.array([float(c) for c in coeffs]) / plan.layout[-1]
+        if not trusted:
+            plan.checked = coeffs, weights
+    size, levels, first, letters, order, _ = plan.layout
     minus = _pi_minus(kindv, m0.shape[-1])
     values = np.empty((size,) + m0.shape)
     values[0] = m0
@@ -265,15 +285,30 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     folded = values[first]
     for count, rows in letters:
         folded[:count] = commutator(folded[:count], values[rows])
-    weights = np.array([float(c) for c in terms.values()]) / lengths
     acc = np.zeros((len(terms) + 1,) + m0.shape)
     np.multiply(weights.reshape((-1,) + (1,) * m0.ndim), folded[order], out=acc[1:])
     return np.cumsum(acc, axis=0, out=acc)[-1].copy()
 
 
+class _Plan:
+    """The _plan cache entry of one series support: its layout (_layout),
+    built once a call on the support gets past the field check, and the
+    coefficients eval_F last checked itself on it, with their weights."""
+
+    __slots__ = ("layout", "checked")
+
+    def __init__(self):
+        self.layout = self.checked = None
+
+
 @lru_cache(maxsize=_PLANS)
-def _plan(support: tuple) -> tuple:
-    """eval_F's evaluation plan for the forests of a series, in term order:
+def _plan(support: tuple) -> _Plan:
+    """The cache entry of a series support (its forests in term order)."""
+    return _Plan()
+
+
+def _layout(support: tuple) -> tuple:
+    """eval_F's evaluation layout for the forests of a series, in term order:
     (size, levels, first, letters, order, lengths).
 
     Each tree a letter needs, and each tree it is solved from (its head, its

@@ -19,18 +19,20 @@ identities live in `identities`, generic over the realization; the
 functions, and the first two default to grafting and the concatenation
 commutator.
 
-Every memo here is a functools.lru_cache keyed on interned forests.
+Every memo here is a functools.lru_cache keyed on interned forests, and
+clear_caches empties them with those of the other layers.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 
 from .identities import associator, dbracket, postlie_identities
-from .series import Series, bilinear, concat, deshuffle_forest
-from .trees import Forest, Tree, enumerate_trees, forest_sort_key
+from .series import Series, _shared, _shuffle_basis, bilinear, concat, deshuffle_forest
+from .trees import Forest, Tree, _forests_raw, enumerate_trees, forest_sort_key
 
 __all__ = [
     "AxiomReport",
@@ -38,6 +40,7 @@ __all__ = [
     "associator",
     "bracket",
     "check_postlie_axioms",
+    "clear_caches",
     "dbracket",
     "forget_planarity",
     "gl_product",
@@ -124,6 +127,21 @@ class GraftExtension:
 
 
 _DEFAULT_EXTENSION = GraftExtension()
+
+
+def clear_caches() -> None:
+    """Empty every memo of the library: those of trees, series and postlie,
+    the default extension's bases and, once matrixpostlie is loaded, eval_F's
+    plans with the coefficients they keep.  A warm session can then time a
+    cold run or give the memory back.  The Tree and Forest intern tables
+    stay, since equal values must remain one object, and a GraftExtension
+    made by the caller keeps its own caches."""
+    for memo in (_forests_raw, _shared, _shuffle_basis, deshuffle_forest, graft_attachments,
+                 _DEFAULT_EXTENSION.basis, _DEFAULT_EXTENSION.gl_basis):
+        memo.cache_clear()
+    matrix = sys.modules.get(f"{__package__}.matrixpostlie")
+    if matrix is not None:
+        matrix._plan.cache_clear()
 
 
 def triangleright(a: Series, b: Series, extension: GraftExtension | None = None) -> Series:

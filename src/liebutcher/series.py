@@ -9,7 +9,9 @@ produce coefficients that were not actually computed.
 All coefficients are Fractions; floats are rejected to keep identity
 checks exact.  The product kernel `bilinear` works on integer numerators
 over one common denominator per operand and visits only the degree blocks
-that survive truncation.
+that survive truncation; it reduces each output sum with one gcd and
+stores the shared Fraction directly, so its result skips the checking
+constructor that every other Series passes through.
 """
 
 from __future__ import annotations
@@ -97,6 +99,16 @@ class Series:
                     clean[forest] = _shared(c.numerator, c.denominator)
         self.terms = clean
         self.trunc = trunc
+
+    @classmethod
+    def _unchecked(cls, terms: dict[Forest, Fraction], trunc: int | None) -> "Series":
+        """A Series that takes terms as they are, checked and copied by
+        nothing: the caller guarantees what __init__ would make of them,
+        non-zero _shared coefficients on forests of degree <= trunc."""
+        out = object.__new__(cls)
+        out.terms = terms
+        out.trunc = trunc
+        return out
 
     @classmethod
     def zero(cls, trunc: int | None = None) -> "Series":
@@ -240,8 +252,10 @@ def bilinear(a: Series, b: Series, basis) -> Series:
     skipped whole, which is exact because every product here is
     degree-additive.  Each operand is scaled to integer numerators over the
     lcm of its denominators, so the sums run in int (or exactly in Fraction
-    for a basis with Fraction coefficients) and each output term is divided
-    once, by the product of the two denominators.
+    for a basis with Fraction coefficients).  Each non-zero sum n over the
+    product den of the two denominators is reduced by gcd(n, den) once and
+    stored as the _shared Fraction, and the result is built unchecked: the
+    block skip already keeps every forest within the truncation.
     """
     trunc = min_trunc(a.trunc, b.trunc)
     da, blocks_a = _graded(a)
@@ -257,7 +271,15 @@ def bilinear(a: Series, b: Series, basis) -> Series:
                     for f, c in basis(fa, fb):
                         out[f] = out.get(f, 0) + scale * c
     den = da * db
-    return Series({f: Fraction(n, den) for f, n in out.items()}, trunc)
+    terms = {}
+    for f, n in out.items():
+        if n:
+            d = den
+            if type(n) is not int:  # a basis with Fraction coefficients
+                n, d = n.numerator, den * n.denominator
+            g = math.gcd(n, d)
+            terms[f] = _shared(n // g, d // g)
+    return Series._unchecked(terms, trunc)
 
 
 def _concat_basis(fa: Forest, fb: Forest):

@@ -6,6 +6,7 @@ in Fraction.  The midpoint stage is solved degree by degree; the oracle runs
 n full-truncation rounds.  Equality is exact throughout.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from liebutcher.lbseries import (
     magnus_chi,
 )
 from liebutcher.postlie import GraftExtension, bracket
-from liebutcher.series import Series, _concat_basis, _shuffle_basis, bilinear
+from liebutcher.series import Series, _concat_basis, _shared, _shuffle_basis, bilinear
 from liebutcher.trees import EMPTY_FOREST, LEAF, Forest, enumerate_forests, enumerate_trees
 
 _EXT = GraftExtension()
@@ -77,6 +78,16 @@ def operands(denominators):
     )
 
 
+def assert_kernel_output(got, a, b, basis):
+    """got equals the oracle, and its coefficients are what the checking
+    constructor would store: non-zero, reduced, and the _shared object."""
+    assert got == fraction_bilinear(a, b, basis)
+    for c in got.terms.values():
+        assert type(c) is Fraction and c != 0
+        assert math.gcd(c.numerator, c.denominator) == 1 and c.denominator > 0
+        assert c is _shared(c.numerator, c.denominator)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(sorted(BASES)),
@@ -88,9 +99,7 @@ def test_bilinear_matches_the_fraction_oracle(name, a, b, swap):
     if swap:
         a, b = b, a
     basis = BASES[name]
-    got = bilinear(a, b, basis)
-    assert got == fraction_bilinear(a, b, basis)
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert_kernel_output(bilinear(a, b, basis), a, b, basis)
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
@@ -100,13 +109,28 @@ def test_bilinear_coprime_denominators_and_truncation(name):
     b = Series({F("[]"): Fraction(-3, 5), F("[] [[]]"): Fraction(2, 7)})
     basis = BASES[name]
     for x, y in ((a, b), (b, a), (a, a), (b, b), (Series(a.terms), b)):
-        assert bilinear(x, y, basis) == fraction_bilinear(x, y, basis)
+        assert_kernel_output(bilinear(x, y, basis), x, y, basis)
 
 
 def test_fake_basis_keeps_fractional_weights():
-    got = bilinear(S("[]", Fraction(1, 2)), S("[[]]", 3), _fake_basis)
+    a, b = S("[]", Fraction(1, 2)), S("[[]]", 3)
+    got = bilinear(a, b, _fake_basis)
     assert got.coeff("[] [[]]") == Fraction(1)
     assert got.coeff("[[]] []") == Fraction(-15, 14)
+    assert_kernel_output(got, a, b, _fake_basis)
+
+
+@pytest.mark.parametrize("name, a, b, want", [
+    # [] sh [[]] and [[]] sh [] cancel
+    ("shuffle", S("[]") - S("[[]]"), S("[]") + S("[[]]"), S("[] []", 2) - S("[[]] [[]]", 2)),
+    # [] [[]] gets 2/3 * 15 from one pair and -5/7 * 14 from the other
+    ("fake", S("[]") + S("[[]]", 14), S("[]") + S("[[]]", 15),
+     S("[] []", Fraction(-1, 21)) + S("[[]] []", Fraction(-29, 21)) + S("[[]] [[]]", -10)),
+])
+def test_cancelled_sums_leave_no_term(name, a, b, want):
+    got = bilinear(a, b, BASES[name])
+    assert got == want and F("[] [[]]") not in got.terms
+    assert_kernel_output(got, a, b, BASES[name])
 
 
 def test_graft_basis_coefficients_are_ints():

@@ -170,6 +170,11 @@ def test_star_import_binds_the_symbolic_names_without_numpy():
     assert loaded_after(setup) == []
 
 
+def test_clear_caches_loads_no_numeric_layer():
+    setup = "import liebutcher\nliebutcher.clear_caches()"
+    assert loaded_after(setup) == []
+
+
 def test_the_matrix_subcommand_loads_numpy():
     argv = ["axioms", "--target", "matrix", "--kind", "lu", "--n", "3", "--samples", "2"]
     setup = f"from liebutcher import cli\nassert cli.main({argv!r}) == 0"

@@ -1,14 +1,15 @@
 import gc
 import sys
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers import S, per_sample_matrix_check, recursive_eval_F
-from liebutcher import matrixpostlie
-from liebutcher.lbseries import exp_concat, field_generator, magnus_chi
+from helpers import F, S, per_sample_matrix_check, recursive_eval_F
+from liebutcher import lbseries, matrixpostlie
+from liebutcher.lbseries import FieldSeries, exp_concat, field_generator, magnus_chi
 from liebutcher.matrixpostlie import (
     check_matrix_postlie_axioms,
     check_projection_identity,
@@ -316,6 +317,22 @@ class TestBatchedSampling:
         assert peak(20000) <= 2 * peak(1000)
 
 
+@pytest.fixture
+def field_checks(monkeypatch):
+    """The series is_inf_character is asked about, in call order, with
+    eval_F's plan cache (and the coefficients it keeps) emptied first."""
+    matrixpostlie._plan.cache_clear()
+    seen = []
+    real = lbseries.is_inf_character
+    monkeypatch.setattr(lbseries, "is_inf_character", lambda a: seen.append(a) or real(a))
+    return seen
+
+
+def fresh_chi(n):
+    """chi(n) as a plain Series nobody has checked."""
+    return magnus_chi(field_generator(n), n, validate=False).series
+
+
 class TestEvalF:
     def setup_method(self):
         rng = np.random.default_rng(8)
@@ -383,6 +400,41 @@ class TestEvalF:
     def test_rejects_constant_term(self):
         with pytest.raises(ValueError):
             eval_F("lu", self.m0, Series.unit() + S("[]"))
+
+    def test_repeat_call_runs_no_field_check(self, field_checks):
+        chi = fresh_chi(5)
+        first = eval_F("lu", self.m0, chi)
+        assert len(field_checks) == 1
+        same = Series(chi.terms, chi.trunc)  # another Series on the same Fractions
+        stack = np.stack([self.m0, -self.m0])
+        assert np.array_equal(eval_F("lu", self.m0, chi), first)
+        assert np.array_equal(eval_F("lu", self.m0, same), first)
+        eval_F("qr", stack, chi)
+        assert len(field_checks) == 1
+
+    @pytest.mark.parametrize("edit", ["replace", "add", "delete"])
+    def test_edits_after_a_call_are_refused(self, edit):
+        chi = fresh_chi(4)
+        eval_F("lu", self.m0, chi)
+        word = F("[] [[]]")  # its mirror [[]] [] carries the opposite weight
+        if edit == "replace":
+            chi.terms[word] += 1
+        elif edit == "add":
+            chi.terms[F("[] []")] = Fraction(1, 5)
+        else:
+            del chi.terms[word]
+        with pytest.raises(ValueError, match="series does not vanish on shuffles"):
+            eval_F("lu", self.m0, chi)
+
+    def test_a_changed_field_series_vouches_for_no_series(self, field_checks):
+        series = fresh_chi(4)
+        field = FieldSeries(series)
+        series.terms[F("[] [[]]")] += 1  # the checked field no longer vanishes on shuffles
+        eval_F("lu", self.m0, field)  # a FieldSeries is taken as checked
+        for plain in (series, Series(series.terms, series.trunc)):
+            with pytest.raises(ValueError, match="series does not vanish on shuffles"):
+                eval_F("lu", self.m0, plain)
+        assert len(field_checks) == 3
 
     def test_calls_leave_no_garbage_cycles(self):
         chi = magnus_chi(field_generator(5), 5).series
@@ -470,6 +522,22 @@ class TestEvalFPlan:
         after = matrixpostlie._plan.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert after.maxsize is not None  # bounded
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_checked_coefficients_kept_or_not_equal_the_recursion(self, kind, field_checks):
+        rng = np.random.default_rng(16)
+        chi = fresh_chi(5)
+        scaled = Series({f: c * (f.degree + 1) for f, c in chi.terms.items()}, chi.trunc)
+        checks = []
+        for m0 in (rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (3, 4, 4))):
+            for a in (chi, chi, scaled, scaled, chi):
+                before = len(field_checks)
+                got = eval_F(kind, m0, a)
+                checks.append(len(field_checks) - before)
+                want = recursive_eval_F(kind, m0, FieldSeries(a, validate=False))
+                assert got.shape == want.shape and np.array_equal(got, want)
+        # the entry keeps the coefficients checked last, whatever m0 or kind
+        assert checks == [1, 0, 1, 0, 1] + [0, 0, 1, 0, 1]
 
     def test_kept_results_hold_one_matrix_each(self):
         chi = CHIS[5]

@@ -16,7 +16,7 @@ from liebutcher.postlie import (
     triangleright,
 )
 from liebutcher.series import Series, concat
-from liebutcher.trees import DegreeCapError, Forest, enumerate_forests, enumerate_trees
+from liebutcher.trees import DegreeCapError, Forest, Tree, enumerate_forests, enumerate_trees
 
 UNIT = Series.unit()
 
@@ -279,3 +279,54 @@ class TestWitnessShape:
     def test_report_fields(self):
         report = check_postlie_axioms(4)
         assert report.passed and isinstance(report.triples, int)
+
+
+class TestClearCaches:
+    @staticmethod
+    def _memos():
+        from liebutcher import matrixpostlie, postlie, series, trees
+
+        ext = postlie._DEFAULT_EXTENSION
+        return {
+            "trees._forests_raw": trees._forests_raw,
+            "series._shared": series._shared,
+            "series._shuffle_basis": series._shuffle_basis,
+            "series.deshuffle_forest": series.deshuffle_forest,
+            "postlie.graft_attachments": postlie.graft_attachments,
+            "basis": ext.basis,
+            "gl_basis": ext.gl_basis,
+            "matrixpostlie._plan": matrixpostlie._plan,
+        }
+
+    def test_every_memo_empties_and_chi_8_is_unchanged(self):
+        import numpy as np
+
+        import liebutcher
+        from liebutcher.lbseries import field_generator, magnus_chi
+        from liebutcher.matrixpostlie import eval_F
+        from liebutcher.series import shuffle
+
+        before = magnus_chi(field_generator(8), 8)
+        enumerate_forests(3)
+        shuffle(S("[]"), S("[[]]"))
+        eval_F("lu", np.eye(3), before.series.truncated(3))
+        memos = self._memos()
+        assert all(m.cache_info().currsize for m in memos.values())
+        forests, trees = dict(Forest._table), dict(Tree._table)
+
+        liebutcher.clear_caches()
+        assert {k: m.cache_info().currsize for k, m in memos.items()} == dict.fromkeys(memos, 0)
+        # the intern tables stay: every value is still the one object
+        assert all(Forest._table[k] is f for k, f in forests.items())
+        assert all(Tree._table[k] is t for k, t in trees.items())
+        after = magnus_chi(field_generator(8), 8)
+        assert after == before and after.series.to_json() == before.series.to_json()
+
+    def test_a_caller_made_extension_keeps_its_caches(self):
+        from liebutcher.postlie import clear_caches
+
+        ext = GraftExtension()
+        triangleright(S("[]"), S("[[]]"), extension=ext)
+        filled = ext.basis.cache_info().currsize
+        clear_caches()
+        assert filled and ext.basis.cache_info().currsize == filled
