@@ -17,7 +17,8 @@ either criterion, so one reader sums integer weights on those splits of
 forests of two or more trees, from the per-forest memo
 series.deshuffle_forest, which is built letter by letter.  A field needs
 every sum to be 0, a character needs a_u a_v; no logarithm is taken.  Both
-exponentials and the logarithm share one power-series loop.
+exponentials and the logarithm share one power-series loop, which grades
+its operand for the kernel once, not once per power.
 The midpoint stage is a graded fixed point: round r solves at truncation r
 only, so the rounds cost the sum of their own truncations' costs; every
 product runs through the graded integer kernel series.bilinear.
@@ -29,8 +30,8 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .postlie import gl_product, triangleright
-from .series import Series, concat, deshuffle_forest
+from .postlie import _DEFAULT_EXTENSION, triangleright
+from .series import Series, _concat_basis, _graded, _graded_product, deshuffle_forest
 from .trees import EMPTY_FOREST, LEAF, forest_sort_key
 
 __all__ = [
@@ -177,34 +178,38 @@ def _as_series(a) -> Series:
     return a
 
 
-def _power_series(x: Series, n: int, product, weight) -> Series:
-    """Sum over k = 1..n of weight(k) * x^k, powers taken under product."""
+def _power_series(x: Series, n: int, basis, weight) -> Series:
+    """Sum over k = 1..n of weight(k) * x^k, powers taken under the product
+    on that basis.  x is the right operand of every product, so it is graded
+    once, and only each new power is graded again."""
+    gx = _graded(x)
     out = Series.zero(n)
     power = Series.unit(n)
     for k in range(1, n + 1):
-        power = product(power, x)
+        power = _graded_product(_graded(power), gx, basis)
         if not power:
             break
         out = out + power * weight(k)
     return out
 
 
-def _series_exp(a: Series, n: int, product) -> Series:
+def _series_exp(a: Series, n: int, basis) -> Series:
     if a.coeff(EMPTY_FOREST) != 0:
         raise ValueError("exponential requires a zero constant term")
     return Series.unit(n) + _power_series(
-        a.truncated(n), n, product, lambda k: Fraction(1, math.factorial(k))
+        a.truncated(n), n, basis, lambda k: Fraction(1, math.factorial(k))
     )
 
 
 def exp_concat(a, n: int, validate: bool = True) -> MethodCharacter:
     """Concatenation exponential, truncated at degree n (frozen-field flow)."""
-    return MethodCharacter(_series_exp(_as_series(a), n, concat), validate=validate)
+    return MethodCharacter(_series_exp(_as_series(a), n, _concat_basis), validate=validate)
 
 
 def exp_gl(a, n: int, validate: bool = True) -> MethodCharacter:
     """Grossman-Larson exponential, truncated at degree n (exact flow)."""
-    return MethodCharacter(_series_exp(_as_series(a), n, gl_product), validate=validate)
+    series = _series_exp(_as_series(a), n, _DEFAULT_EXTENSION.gl_basis)
+    return MethodCharacter(series, validate=validate)
 
 
 def log_gl(c, validate: bool = True) -> FieldSeries:
@@ -214,7 +219,9 @@ def log_gl(c, validate: bool = True) -> FieldSeries:
         raise ValueError("logarithm requires constant term 1")
     n = _bound(s)
     x = (s - Series.unit(s.trunc)).truncated(n)
-    log = _power_series(x, n, gl_product, lambda k: Fraction((-1) ** (k + 1), k))
+    log = _power_series(
+        x, n, _DEFAULT_EXTENSION.gl_basis, lambda k: Fraction((-1) ** (k + 1), k)
+    )
     return FieldSeries(log, validate=validate)
 
 

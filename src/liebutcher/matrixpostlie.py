@@ -241,7 +241,9 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     cache entry keeps those Fraction objects (immutable, so a repeat call on
     them compares by identity) with their float weights.  Only a check run
     here is recorded, so a FieldSeries whose series changed after it was
-    checked never vouches for a plain Series.
+    checked never vouches for a plain Series.  A zero coefficient, which
+    only an edit of terms can store, is no term: the result is that of the
+    series without it.
 
     The numpy work runs on stacks, laid out by the evaluation plan of the
     series support (_plan, cached per support): one batched |> per level
@@ -266,6 +268,10 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     if checked is not None and checked[0] == coeffs:
         weights = checked[1]
     else:
+        if not all(coeffs):  # a zero stored by an edit of terms is no term
+            terms = {f: c for f, c in terms.items() if c}
+            support, coeffs = tuple(terms), tuple(terms.values())
+            plan = _plan(support)
         trusted = isinstance(a, FieldSeries)
         if not trusted:
             FieldSeries(a)

@@ -7,11 +7,17 @@ operand truncations, so mixing a truncated operand in can never silently
 produce coefficients that were not actually computed.
 
 All coefficients are Fractions; floats are rejected to keep identity
-checks exact.  The product kernel `bilinear` works on integer numerators
-over one common denominator per operand and visits only the degree blocks
-that survive truncation; it reduces each output sum with one gcd and
-stores the shared Fraction directly, so its result skips the checking
-constructor that every other Series passes through.
+checks exact.  Only the public constructors (Series(...), of, unit,
+from_json) check terms: each coefficient is converted, zeros and forests
+past the truncation are dropped, and equal values share one Fraction.
+Everything else starts from checked terms and trusts them.  Arithmetic
+(+, -, unary -, scalar * and /, truncated, component) copies the entries
+it leaves untouched, drops a zero that an edit of terms stored, and sends
+only the entries it changes through the shared table, in the term order
+of its operands.  The product kernel `bilinear` works on integer
+numerators over one common denominator per operand and visits only the
+degree blocks that survive truncation; it reduces each output sum with one
+gcd and stores the shared Fraction directly.
 """
 
 from __future__ import annotations
@@ -84,7 +90,11 @@ _shared = lru_cache(maxsize=1 << 12)(Fraction)
 
 
 class Series:
-    """Finite linear combination of ordered forests with Fraction coefficients."""
+    """Finite linear combination of ordered forests with Fraction coefficients.
+
+    The constructor checks every term; _unchecked and the arithmetic built
+    on it take terms that are already checked, as the module docstring
+    says."""
 
     __slots__ = ("terms", "trunc")
 
@@ -128,12 +138,23 @@ class Series:
         """Stored coefficient (0 when absent); no truncation guard."""
         return self.terms.get(_as_forest(forest), Fraction(0))
 
+    def _kept(self, trunc: int | None) -> dict[Forest, Fraction]:
+        """A copy of the non-zero terms of degree <= trunc, in term order.
+        Only an edit of terms can store a zero, and it is dropped here."""
+        if trunc is None or trunc == self.trunc:
+            return {f: c for f, c in self.terms.items() if c}
+        return {f: c for f, c in self.terms.items() if c and f.degree <= trunc}
+
     def truncated(self, n: int) -> "Series":
-        return Series(self.terms, min_trunc(self.trunc, n))
+        trunc = min_trunc(self.trunc, n)
+        if trunc is not None and trunc < 0:
+            raise ValueError(f"truncation degree must be >= 0, got {trunc}")
+        return Series._unchecked(self._kept(trunc), trunc)
 
     def component(self, k: int) -> "Series":
         """The degree-k homogeneous part."""
-        return Series({f: c for f, c in self.terms.items() if f.degree == k}, self.trunc)
+        terms = {f: c for f, c in self.terms.items() if c and f.degree == k}
+        return Series._unchecked(terms, self.trunc)
 
     def max_degree(self) -> int:
         return max((f.degree for f in self.terms), default=0)
@@ -141,30 +162,48 @@ class Series:
     def support(self) -> list[Forest]:
         return sorted(self.terms, key=forest_sort_key)
 
+    def _combine(self, other: "Series", sign: int) -> "Series":
+        """self + sign * other: self's terms in order, then other's new ones.
+        Only an entry that changes is reduced and shared anew."""
+        trunc = min_trunc(self.trunc, other.trunc)
+        out = self._kept(trunc)
+        for f, c in other.terms.items():
+            if not c or trunc is not None and f.degree > trunc:
+                continue
+            e = out.get(f)
+            if e is None:
+                out[f] = c if sign > 0 else _shared(-c.numerator, c.denominator)
+                continue
+            t = e + c if sign > 0 else e - c
+            if t:
+                out[f] = _shared(t.numerator, t.denominator)
+            else:
+                del out[f]
+        return Series._unchecked(out, trunc)
+
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            out[f] = out[f] + c if f in out else c
-        return Series(out, min_trunc(self.trunc, other.trunc))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            out[f] = out[f] - c if f in out else -c
-        return Series(out, min_trunc(self.trunc, other.trunc))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Series({f: -c for f, c in self.terms.items()}, self.trunc)
+        return self * -1
 
     def __mul__(self, scalar):
         if isinstance(scalar, Series):
             raise TypeError("use concat/shuffle/gl_product for series products")
         c = _as_coeff(scalar)
-        return Series({f: v * c for f, v in self.terms.items()}, self.trunc)
+        out = {}
+        for f, v in self.terms.items():
+            t = v * c
+            if t:
+                out[f] = _shared(t.numerator, t.denominator)
+        return Series._unchecked(out, self.trunc)
 
     __rmul__ = __mul__
 
@@ -235,13 +274,14 @@ def truncate(a: Series, n: int) -> Series:
     return a.truncated(n)
 
 
-def _graded(a: Series) -> tuple[int, dict[int, list[tuple[Forest, int]]]]:
-    """The lcm of a's denominators, and a's terms times it grouped by degree."""
+def _graded(a: Series) -> tuple[int | None, int, dict[int, list[tuple[Forest, int]]]]:
+    """a as the product kernel reads it: its truncation, the lcm of its
+    denominators, and its terms times that lcm grouped by degree."""
     den = math.lcm(*(c.denominator for c in a.terms.values()))
     blocks: dict[int, list[tuple[Forest, int]]] = {}
     for f, c in a.terms.items():
         blocks.setdefault(f.degree, []).append((f, c.numerator * (den // c.denominator)))
-    return den, blocks
+    return a.trunc, den, blocks
 
 
 def bilinear(a: Series, b: Series, basis) -> Series:
@@ -251,15 +291,22 @@ def bilinear(a: Series, b: Series, basis) -> Series:
     degree, and a block pair whose degrees sum past the common truncation is
     skipped whole, which is exact because every product here is
     degree-additive.  Each operand is scaled to integer numerators over the
-    lcm of its denominators, so the sums run in int (or exactly in Fraction
-    for a basis with Fraction coefficients).  Each non-zero sum n over the
-    product den of the two denominators is reduced by gcd(n, den) once and
-    stored as the _shared Fraction, and the result is built unchecked: the
-    block skip already keeps every forest within the truncation.
+    lcm of its denominators (_graded), so the sums run in int (or exactly in
+    Fraction for a basis with Fraction coefficients).  Each non-zero sum n
+    over the product den of the two denominators is reduced by gcd(n, den)
+    once and stored as the _shared Fraction, and the result is built
+    unchecked: the block skip already keeps every forest within the
+    truncation.  A caller that multiplies by one operand many times grades
+    it once and calls _graded_product itself.
     """
-    trunc = min_trunc(a.trunc, b.trunc)
-    da, blocks_a = _graded(a)
-    db, blocks_b = _graded(b)
+    return _graded_product(_graded(a), _graded(b), basis)
+
+
+def _graded_product(ga, gb, basis) -> Series:
+    """bilinear on operands already graded by _graded."""
+    ta, da, blocks_a = ga
+    tb, db, blocks_b = gb
+    trunc = min_trunc(ta, tb)
     out: dict = {}
     for p, left in blocks_a.items():
         for q, right in blocks_b.items():
@@ -317,19 +364,25 @@ def shuffle(a: Series, b: Series) -> Series:
 def deshuffle_forest(f: Forest) -> tuple[tuple[tuple[Forest, Forest], int], ...]:
     """All order-preserving two-block splits of the letters of f, with multiplicity.
 
-    This is the coproduct dual to the shuffle product.  The splits are built
-    letter by letter: each tree goes to the left or to the right block of
-    every split of the letters before it, and equal splits merge at once, so
-    a word of k equal letters passes through O(k^2) splits, not 2^k subsets.
+    This is the coproduct dual to the shuffle product.  The splits of
+    t1..tk grow from the memo entry of the prefix t1..t(k-1): the last tree
+    goes to the left or to the right block of each, and equal splits merge
+    at once, so a word of k equal letters has k + 1 splits, not 2^k subsets.
+    The prefixes are read shortest first in a loop, so a prefix missing
+    from the memo finds its own prefix there, and nothing recurses once per
+    letter.
     """
-    splits = {(EMPTY_FOREST, EMPTY_FOREST): 1}
-    for t in f.trees:
-        grown: dict[tuple[Forest, Forest], int] = {}
-        for (left, right), m in splits.items():
-            for key in ((Forest(left.trees + (t,)), right), (left, Forest(right.trees + (t,)))):
-                grown[key] = grown.get(key, 0) + m
-        splits = grown
-    return tuple(splits.items())
+    trees = f.trees
+    if not trees:
+        return (((EMPTY_FOREST, EMPTY_FOREST), 1),)
+    for k in range(len(trees)):
+        splits = deshuffle_forest(Forest(trees[:k]))
+    last = trees[-1]
+    grown: dict[tuple[Forest, Forest], int] = {}
+    for (left, right), m in splits:
+        for key in ((Forest(left.trees + (last,)), right), (left, Forest(right.trees + (last,)))):
+            grown[key] = grown.get(key, 0) + m
+    return tuple(grown.items())
 
 
 def deshuffle(a: Series) -> dict[tuple[Forest, Forest], Fraction]:

@@ -108,6 +108,20 @@ def subset_deshuffle_forest(f: Forest) -> tuple[tuple[tuple[Forest, Forest], int
     return tuple(acc.items())
 
 
+def letter_deshuffle_forest(f: Forest) -> tuple[tuple[tuple[Forest, Forest], int], ...]:
+    """Coproduct oracle in split order: from the empty split, each tree in
+    turn joins the left or the right block of every split of the trees
+    before it, equal splits merged, with no memo."""
+    splits = {(EMPTY_FOREST, EMPTY_FOREST): 1}
+    for t in f.trees:
+        grown: dict[tuple[Forest, Forest], int] = {}
+        for (left, right), m in splits.items():
+            for key in ((Forest(left.trees + (t,)), right), (left, Forest(right.trees + (t,)))):
+                grown[key] = grown.get(key, 0) + m
+        splits = grown
+    return tuple(splits.items())
+
+
 def random_lie_monomial(rng: random.Random, degree: int) -> Series:
     """A tree or a nested concatenation-commutator of exact total degree."""
     if degree <= 1 or rng.random() < 0.4:
@@ -205,6 +219,26 @@ def fraction_bilinear(a: Series, b: Series, basis) -> Series:
             for f, c in basis(fa, fb):
                 out[f] = out.get(f, Fraction(0)) + scale * c
     return Series(out, trunc)
+
+
+def per_product_power_series(x: Series, n: int, product, weight) -> Series:
+    """Power-series oracle: sum over k = 1..n of weight(k) * x^k, each power
+    taken by the public product, which grades both operands every time, and
+    summed in Fraction with a cancelled term dropped at once, as a series sum
+    drops it, so the term order is that of a sum per power."""
+    out: dict[Forest, Fraction] = {}
+    power = Series.unit(n)
+    for k in range(1, n + 1):
+        power = product(power, x)
+        if not power:
+            break
+        for f, c in power.terms.items():
+            total = out.get(f, Fraction(0)) + c * weight(k)
+            if total:
+                out[f] = total
+            else:
+                del out[f]
+    return Series(out, n)
 
 
 def fraction_is_inf_character(a: Series) -> bool:

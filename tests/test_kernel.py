@@ -1,9 +1,14 @@
-"""The graded integer kernel against its Fraction oracles.
+"""The graded integer kernel and the trusted series arithmetic against
+their Fraction oracles.
 
 `bilinear` groups terms by degree and sums integer numerators over one
 denominator per operand; `fraction_bilinear` visits every term pair and sums
-in Fraction.  The midpoint stage is solved degree by degree; the oracle runs
-n full-truncation rounds.  Equality is exact throughout.
+in Fraction.  Series arithmetic builds its result from checked terms without
+the checking constructor; its oracles are the plain Fraction sums put
+through that constructor.  The power series grade their operand once; the
+oracle takes each power by the public product.  The midpoint stage is
+solved degree by degree; the oracle runs n full-truncation rounds.
+Equality is exact throughout.
 """
 
 import math
@@ -20,6 +25,7 @@ from helpers import (
     fraction_is_character,
     fraction_is_inf_character,
     iterated_lie_midpoint_field,
+    per_product_power_series,
     random_lie_series,
     ree_is_character,
 )
@@ -27,16 +33,26 @@ from liebutcher.lbseries import (
     FieldSeries,
     exact_flow_character,
     exp_concat,
+    exp_gl,
     field_generator,
     is_character,
     is_inf_character,
     lie_euler_character,
     lie_midpoint_character,
     lie_midpoint_field,
+    log_gl,
     magnus_chi,
 )
-from liebutcher.postlie import GraftExtension, bracket
-from liebutcher.series import Series, _concat_basis, _shared, _shuffle_basis, bilinear
+from liebutcher.postlie import GraftExtension, bracket, gl_product
+from liebutcher.series import (
+    Series,
+    _concat_basis,
+    _shared,
+    _shuffle_basis,
+    bilinear,
+    concat,
+    min_trunc,
+)
 from liebutcher.trees import EMPTY_FOREST, LEAF, Forest, enumerate_forests, enumerate_trees
 
 _EXT = GraftExtension()
@@ -78,14 +94,24 @@ def operands(denominators):
     )
 
 
-def assert_kernel_output(got, a, b, basis):
-    """got equals the oracle, and its coefficients are what the checking
-    constructor would store: non-zero, reduced, and the _shared object."""
-    assert got == fraction_bilinear(a, b, basis)
-    for c in got.terms.values():
+def assert_stored(s, shared=True):
+    """s holds what the checking constructor would store: non-zero, reduced
+    coefficients on forests within the truncation, each the _shared object
+    unless `shared` is false.  A long computation can push a value out of
+    the bounded _shared cache while a series still holds it, and an entry
+    that arithmetic leaves untouched is kept as it is."""
+    for f, c in s.terms.items():
         assert type(c) is Fraction and c != 0
         assert math.gcd(c.numerator, c.denominator) == 1 and c.denominator > 0
-        assert c is _shared(c.numerator, c.denominator)
+        assert not shared or c is _shared(c.numerator, c.denominator)
+        assert s.trunc is None or f.degree <= s.trunc
+
+
+def assert_kernel_output(got, a, b, basis):
+    """got equals the oracle, and its coefficients are what the checking
+    constructor would store."""
+    assert got == fraction_bilinear(a, b, basis)
+    assert_stored(got)
 
 
 @settings(max_examples=80, deadline=None)
@@ -131,6 +157,128 @@ def test_cancelled_sums_leave_no_term(name, a, b, want):
     got = bilinear(a, b, BASES[name])
     assert got == want and F("[] [[]]") not in got.terms
     assert_kernel_output(got, a, b, BASES[name])
+
+
+# ---------------------------------------------------------------------------
+# trusted arithmetic: each result against the plain Fraction result put
+# through the checking constructor, term order included
+
+
+def assert_trusted(got, want, shared=True):
+    assert got == want and got.trunc == want.trunc
+    assert list(got.terms) == list(want.terms)
+    assert_stored(got, shared)
+
+
+def checked_sum(a, b, sign):
+    out = dict(a.terms)
+    for f, c in b.terms.items():
+        out[f] = out.get(f, Fraction(0)) + sign * c
+    return Series(out, min_trunc(a.trunc, b.trunc))
+
+
+def checked_scaled(a, c):
+    return Series({f: v * c for f, v in a.terms.items()}, a.trunc)
+
+
+scalars = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    operands(LEFT_DENOMINATORS),
+    operands(RIGHT_DENOMINATORS),
+    st.integers(0, 3),
+    scalars,
+    st.integers(0, 8),
+)
+def test_trusted_arithmetic_matches_the_checked_oracle(a, b, cancel, c, k):
+    # with cancel > 0, b also holds the negative of every cancel-th term of
+    # a (of every term for 1), and those terms cancel in a + b
+    if cancel:
+        b = Series({**b.terms, **{f: -v for f, v in list(a.terms.items())[::cancel]}}, b.trunc)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert_trusted(x + y, checked_sum(x, y, 1))
+        assert_trusted(x - y, checked_sum(x, y, -1))
+    assert_trusted(a - a, Series.zero(a.trunc))
+    assert_trusted(-a, checked_scaled(a, Fraction(-1)))
+    assert_trusted(c * a, checked_scaled(a, c))
+    assert_trusted(a * c, checked_scaled(a, c))
+    if c:
+        assert_trusted(b / c, Series({f: v / c for f, v in b.terms.items()}, b.trunc))
+    assert_trusted(a.truncated(k), Series(a.terms, min_trunc(a.trunc, k)))
+    part = Series({f: v for f, v in a.terms.items() if f.degree == k}, a.trunc)
+    assert_trusted(a.component(k), part)
+
+
+@pytest.mark.parametrize("trunc", [None, 5, 2])
+def test_mixed_truncations_drop_the_terms_above(trunc):
+    # a is exact and holds a degree-6 word; [[[]]] cancels in a + b
+    a = S("[]", Fraction(1, 2)) + S("[[[]]] [] [] []", 3) + S("[[[]]]", Fraction(-2, 3))
+    b = Series({F("[] []"): Fraction(5, 7), F("[[[]]]"): Fraction(2, 3)}, trunc)
+    for x, y in ((a, b), (b, a)):
+        for sign, got in ((1, x + y), (-1, x - y)):
+            assert got.trunc == trunc
+            assert_trusted(got, checked_sum(x, y, sign))
+    assert (F("[[[]]] [] [] []") in (a + b).terms) is (trunc is None)
+    assert F("[[[]]]") not in (a + b).terms
+
+
+@pytest.mark.parametrize("op", ["add", "radd", "sub", "rsub", "mul", "rmul", "neg"])
+def test_a_hand_stored_zero_does_not_survive(op):
+    s = S("[]", 2) + S("[[]]", Fraction(1, 3))
+    s.terms[F("[] []")] = Fraction(0)
+    t = S("[[]]", Fraction(1, 3)) + S("[[] []]", 5)
+    got = {
+        "add": lambda: s + t,
+        "radd": lambda: t + s,
+        "sub": lambda: s - t,
+        "rsub": lambda: t - s,
+        "mul": lambda: s * Fraction(3, 4),
+        "rmul": lambda: 3 * s,
+        "neg": lambda: -s,
+    }[op]()
+    assert F("[] []") not in got.terms
+    assert_stored(got)
+
+
+def test_a_truncation_below_zero_is_refused():
+    with pytest.raises(ValueError, match="truncation degree must be >= 0"):
+        S("[]").truncated(-1)
+
+
+# ---------------------------------------------------------------------------
+# power series: x graded once against one public product per power
+
+
+def _oracle_exp(a, n, product):
+    x = Series(a.terms, min_trunc(a.trunc, n))
+    powers = per_product_power_series(x, n, product, lambda k: Fraction(1, math.factorial(k)))
+    return Series({EMPTY_FOREST: Fraction(1), **powers.terms}, n)
+
+
+def _oracle_log(c):
+    n = c.trunc
+    x = Series({f: v for f, v in c.terms.items() if f.trees}, n)
+    return per_product_power_series(x, n, gl_product, lambda k: Fraction((-1) ** (k + 1), k))
+
+
+def _exp_inputs(n):
+    return [field_generator(n), random_lie_series(random.Random(31 + n), n)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_power_series_match_one_product_per_power(n):
+    for a in _exp_inputs(n):
+        char = exp_concat(a, n, validate=False).series
+        flow = exp_gl(a, n, validate=False).series
+        for got, want in (
+            (char, _oracle_exp(a, n, concat)),
+            (flow, _oracle_exp(a, n, gl_product)),
+            (log_gl(flow, validate=False).series, _oracle_log(flow)),
+            (log_gl(char, validate=False).series, _oracle_log(char)),
+        ):
+            assert_trusted(got, want, shared=False)
 
 
 def test_graft_basis_coefficients_are_ints():

@@ -15,7 +15,7 @@ from helpers import (
     shuffle_oracle,
     subset_deshuffle_forest,
 )
-from liebutcher import lbseries
+from liebutcher import lbseries, series
 from liebutcher.lbseries import (
     METHOD_CHARACTERS,
     FieldSeries,
@@ -234,8 +234,9 @@ class TestPredicatesAgainstOracle:
         def refuse(*args):
             raise AssertionError("the character check took a product")
 
-        monkeypatch.setattr(lbseries, "concat", refuse)
-        monkeypatch.setattr(lbseries, "gl_product", refuse)
+        # every product, the power series' included, runs through this kernel
+        monkeypatch.setattr(series, "_graded_product", refuse)
+        monkeypatch.setattr(lbseries, "_graded_product", refuse)
         assert is_character(s)
 
 

@@ -21,7 +21,7 @@ from liebutcher.matrixpostlie import (
 )
 from liebutcher.postlie import bracket, dbracket, triangleright
 from liebutcher.series import Series
-from liebutcher.trees import enumerate_trees
+from liebutcher.trees import EMPTY_FOREST, enumerate_trees
 
 KINDS = ["lu", "qr"]
 
@@ -435,6 +435,20 @@ class TestEvalF:
             with pytest.raises(ValueError, match="series does not vanish on shuffles"):
                 eval_F("lu", self.m0, plain)
         assert len(field_checks) == 3
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("where", ["empty forest", "new word", "tree"])
+    @pytest.mark.parametrize("wrap", [Series, FieldSeries])
+    def test_a_stored_zero_is_no_term(self, kind, where, wrap):
+        chi = fresh_chi(3)
+        f = {"empty forest": EMPTY_FOREST, "new word": F("[] []"), "tree": F("[[[]]]")}[where]
+        without = Series({g: c for g, c in chi.terms.items() if g is not f}, chi.trunc)
+        want = eval_F(kind, self.m0, without)
+        eval_F(kind, self.m0, chi)  # a kept check on this support is not reused
+        chi.terms[f] = Fraction(0)
+        arg = FieldSeries(chi) if wrap is FieldSeries else chi
+        assert np.array_equal(eval_F(kind, self.m0, arg), want)
+        assert np.array_equal(want, recursive_eval_F(kind, self.m0, without))
 
     def test_calls_leave_no_garbage_cycles(self):
         chi = magnus_chi(field_generator(5), 5).series

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import F, S, shuffle_oracle, subset_deshuffle_forest
+from hypothesis import given, settings, strategies as st
+
+from helpers import F, S, letter_deshuffle_forest, shuffle_oracle, subset_deshuffle_forest
 from liebutcher.series import (
     Series,
     TruncationError,
@@ -17,7 +19,7 @@ from liebutcher.series import (
     shuffle,
     truncate,
 )
-from liebutcher.trees import EMPTY_FOREST, enumerate_forests
+from liebutcher.trees import EMPTY_FOREST, Forest, enumerate_forests
 
 UNIT = Series.unit()
 
@@ -25,6 +27,10 @@ UNIT = Series.unit()
 def leaves(k):
     """The forest of k one-node trees."""
     return F(" ".join(["[]"] * k) or "1")
+
+
+# three letters for random words: [], [[]] and [[[]]]
+LETTERS = [f.trees[0] for f in (F("[]"), F("[[]]"), F("[[[]]]"))]
 
 
 def forests_up_to(n):
@@ -165,6 +171,18 @@ class TestDeshuffle:
     def test_letter_loop_matches_subset_oracle(self):
         for f in forests_up_to(8):
             assert dict(deshuffle_forest(f)) == dict(subset_deshuffle_forest(f)), f
+
+    def test_prefix_memo_keeps_the_letter_order(self):
+        # equal tuples: the same splits, multiplicities and order
+        for f in forests_up_to(7):
+            assert deshuffle_forest(f) == letter_deshuffle_forest(f), f
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(LETTERS), max_size=11))
+    def test_prefix_memo_on_words_with_repeated_letters(self, letters):
+        f = Forest(tuple(letters))
+        assert deshuffle_forest.__wrapped__(f) == letter_deshuffle_forest(f)
+        assert deshuffle_forest(f) == letter_deshuffle_forest(f)
 
     def test_repeated_letter_multiplicities(self):
         assert dict(deshuffle_forest(leaves(3))) == {
