@@ -277,7 +277,10 @@ def convergence_study(
     if not (href > 0 and math.isfinite(T / href)):  # bounds T / h for every h too
         raise ValueError(f"reference step {hs[-1]!r}/{refine} is too small for the horizon {T!r}")
     for h in hs:
-        if abs(T / h - round(T / h)) > 1e-9:
+        steps = round(T / h)
+        if steps < 1:
+            raise ValueError(f"step {h!r} is longer than the horizon {T!r}: no whole step fits")
+        if abs(T / h - steps) > 1e-9:
             raise ValueError(f"step {h!r} does not divide the horizon {T!r}")
     ref = integrate(field, y0, href, round(T / href), method)
     errors = [math.dist(integrate(field, y0, h, round(T / h), method), ref) for h in hs]

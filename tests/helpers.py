@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -120,6 +121,21 @@ def letter_deshuffle_forest(f: Forest) -> tuple[tuple[tuple[Forest, Forest], int
                 grown[key] = grown.get(key, 0) + m
         splits = grown
     return tuple(splits.items())
+
+
+def gl_free_exact_flow(n: int) -> Series:
+    """exp_gl(h[]) through degree n without the GL basis.  The exact flow
+    solves d/dh alpha = alpha * h[], and A * [] is the sum over the splits of
+    A of A1 [A2], since A2 |> [] = [A2]; so on w = t1..tk,
+    |w| alpha(w) = sum of alpha(A) over the shuffles A (with multiplicity) of
+    t1..t(k-1) with the children of tk."""
+    alpha = {EMPTY_FOREST: Fraction(1)}
+    for degree in range(1, n + 1):
+        for w in enumerate_forests(degree):
+            front, last = Forest(w.trees[:-1]), w.trees[-1]
+            total = sum(alpha[a] * m for a, m in shuffle_oracle(front, Forest(last.children)).items())
+            alpha[w] = Fraction(total, degree)
+    return Series(alpha, n)
 
 
 def random_lie_monomial(rng: random.Random, degree: int) -> Series:
@@ -376,6 +392,23 @@ def per_sample_matrix_check(check: str, kind: str, n: int, samples: int = 100,
         "pass": worst <= tol,
         "seed": seed,
     }
+
+
+def expm(m) -> np.ndarray:
+    """Matrix exponential by scaling and squaring a Taylor polynomial: the
+    scaled matrix has 1-norm at most 1/2, where 20 terms leave a remainder
+    far below rounding."""
+    m = np.asarray(m, dtype=float)
+    norm = np.abs(m).sum(axis=0).max()
+    squarings = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+    scaled = m / 2.0 ** squarings
+    out = term = np.eye(m.shape[0])
+    for k in range(1, 20):
+        term = term @ scaled / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def recursive_eval_F(kind: str, m0, a) -> np.ndarray:

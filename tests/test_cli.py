@@ -1,12 +1,17 @@
 import csv
+import gc
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import liebutcher
 from liebutcher import sphere
 from liebutcher.cli import _rigid_body, main
 from liebutcher.trees import MAX_DEPTH, DegreeCapError, check_degree
@@ -577,6 +582,14 @@ class TestIntegrateAndConverge:
         assert out == ""
         assert err.startswith("error:") and "horizon" in err
 
+    @pytest.mark.parametrize("T", ["1e-300", "1e-10"])
+    def test_converge_horizon_shorter_than_a_step_is_rejected(self, capsys, T):
+        code, out, err = run(
+            capsys, "converge", "--method", "lie-euler", "--hs", "0.1,0.05,0.025", "--T", T
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: step 0.1 is longer than the horizon {float(T)!r}: no whole step fits\n"
+
     def test_converge_zero_step_is_rejected(self, capsys):
         code, out, err = run(
             capsys, "converge", "--method", "lie-euler", "--hs", "0.1,0.05,0"
@@ -624,6 +637,54 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["product", "[]", "[]"])
         assert exc.value.code == 2
+
+
+# A fresh interpreter that reports, from an atexit hook, how many objects
+# the permanent generation holds once the command has returned.
+ENTRIES = {
+    "module": "sys.argv[1:] = {argv!r}\n"
+              "runpy.run_module('liebutcher.cli', run_name='__main__', alter_sys=True)",
+    "script": "sys.argv[1:] = {argv!r}\nfrom liebutcher.cli import run\nsys.exit(run())",
+}
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen {{gc.get_freeze_count()}}\\n"))
+{entry}
+"""
+
+
+class TestProcessEntry:
+    """`python -m liebutcher.cli` and the installed `liebutcher` script enter
+    through cli.run, which freezes the heap once the response is written, so
+    the shutdown collections skip it; main() leaves the collector alone."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("argv, code", [
+        (["enumerate", "--what", "trees", "--degree", "3", "--count-only"], 0),
+        (["magnus", "--degree", "9"], 1),
+        (["product", "--kind", "foo", "[]", "[]"], 2),
+        (["--help"], 0),
+    ])
+    def test_a_fresh_process_ends_frozen(self, entry, argv, code):
+        src = os.path.dirname(os.path.dirname(liebutcher.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        probe = FREEZE_PROBE.format(entry=ENTRIES[entry].format(argv=argv))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert int(proc.stderr.splitlines()[-1].removeprefix("frozen ")) > 0
+
+    def test_main_leaves_the_freeze_count_alone(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["magnus", "--degree", "3"]) == 0
+        with pytest.raises(SystemExit):
+            main(["product", "--kind", "foo", "[]", "[]"])
+        assert gc.get_freeze_count() == before
+
+    def test_the_installed_script_enters_through_run(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert 'liebutcher = "liebutcher.cli:run"' in pyproject.read_text(encoding="utf-8")
 
 
 class _CountingStdout(io.StringIO):

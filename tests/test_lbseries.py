@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    F,
     S,
     brute_force_is_character,
     brute_force_is_inf_character,
     enumeration_first_defect,
+    gl_free_exact_flow,
     random_lie_monomial,
     random_lie_series,
     shuffle_oracle,
@@ -497,6 +499,32 @@ class TestIntegratorCharacters:
         a = lie_euler_character(4).series
         b = lie_midpoint_character(4).series
         assert is_character(gl_product(a, b))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_exact_flow_matches_the_gl_free_recursion(self, n):
+        assert exact_flow_character(n).series == gl_free_exact_flow(n)
+
+
+def backward(a) -> Series:
+    """alpha(-h) of a character alpha(h): the coefficient of w times (-1)^|w|."""
+    s = a.series
+    return Series({f: -c if f.degree % 2 else c for f, c in s.terms.items()}, s.trunc)
+
+
+class TestSymmetry:
+    """A method is symmetric iff alpha(h) * alpha(-h) = 1 under the GL
+    product: an exact check that takes no logarithm."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_midpoint_is_symmetric(self, n):
+        phi = lie_midpoint_character(n)
+        assert gl_product(phi.series, backward(phi)) == Series.unit(n)
+
+    def test_lie_euler_is_not(self):
+        euler = lie_euler_character(6)
+        defect = gl_product(euler.series, backward(euler)) - Series.unit(6)
+        assert min(f.degree for f in defect.terms) == 2
+        assert list(defect.component(2).terms) == [F("[[]]")]
 
 
 class TestOrders:

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import F, S, per_sample_matrix_check, recursive_eval_F
+from helpers import F, S, expm, per_sample_matrix_check, recursive_eval_F
 from liebutcher import lbseries, matrixpostlie
 from liebutcher.lbseries import FieldSeries, exp_concat, field_generator, magnus_chi
 from liebutcher.matrixpostlie import (
@@ -601,3 +601,45 @@ class TestRejectedInputs:
     def test_a_non_series(self, bad, name):
         with pytest.raises(TypeError, match=name):
             eval_F("lu", np.eye(3), bad)
+
+
+class TestFactorization:
+    """The post-Lie Magnus expansion solves the matrix factorization problem:
+    with C = eval_F(kind, X, chi_n), exp(X) = exp(pi_plus C) exp(pi_minus C)
+    + O(|X|^(n+1)).  For LU the factors are upper and unit lower triangular;
+    for QR, upper triangular with a positive diagonal, and orthogonal.  The
+    whole chain (exp_concat, the GL logarithm, eval_F) meets an exponential
+    computed apart from it."""
+
+    TS = (0.2, 0.1, 0.05)
+    M0 = np.random.default_rng(9).uniform(-1, 1, (4, 4))
+
+    def factors(self, kind, n, t):
+        c = eval_F(kind, t * self.M0, magnus_chi(field_generator(n), n))
+        return expm(project_plus(kind, c)), expm(project_minus(kind, c)), expm(t * self.M0)
+
+    def slope(self, residuals):
+        return np.polyfit(np.log(self.TS), np.log(residuals), 1)[0]
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_residual_falls_with_order_n_plus_one(self, kind, n):
+        residuals, reversed_residuals = [], []
+        for t in self.TS:
+            plus, minus, want = self.factors(kind, n, t)
+            residuals.append(np.abs(plus @ minus - want).max())
+            reversed_residuals.append(np.abs(minus @ plus - want).max())
+        assert abs(self.slope(residuals) - (n + 1)) <= 0.15, residuals
+        assert abs(self.slope(reversed_residuals) - (n + 1)) > 0.15, reversed_residuals
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("t", TS)
+    def test_factors_have_their_shape(self, n, t):
+        upper, unit_lower, _ = self.factors("lu", n, t)
+        assert np.abs(np.tril(upper, -1)).max() <= 1e-12
+        assert np.abs(np.triu(unit_lower, 1)).max() <= 1e-12
+        assert np.abs(np.diag(unit_lower) - 1.0).max() <= 1e-12
+        r, q, _ = self.factors("qr", n, t)
+        assert np.abs(np.tril(r, -1)).max() <= 1e-12
+        assert np.diag(r).min() > 0.0
+        assert np.abs(q.T @ q - np.eye(4)).max() <= 1e-12

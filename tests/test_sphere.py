@@ -255,6 +255,12 @@ class TestConvergence:
         with pytest.raises(ValueError, match="step size"):
             convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.1, 0.05, 0.0])
 
+    @pytest.mark.parametrize("T", [1e-300, 1e-10, 0.04])
+    def test_rejects_a_horizon_shorter_than_a_step(self, T):
+        # T / h would round to 0 steps, and every error would read exactly 0
+        with pytest.raises(ValueError, match=rf"step 0\.1 is longer than the horizon {T!r}"):
+            convergence_study(FIELD, Y0, T, "lie-euler", [0.1, 0.05, 0.025])
+
     @pytest.mark.parametrize("refine", [0, -4])
     def test_rejects_refine_below_one(self, refine):
         with pytest.raises(ValueError, match="refine"):
