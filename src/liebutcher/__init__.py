@@ -16,8 +16,14 @@ layers, the matrix realization imports numpy and the post-Lie identities
 `eval_F` is the one bridge that loads the symbolic layers, inside the
 call.  The sphere steps run in plain floats, and only its matrix forms
 `hat`/`rot_exp` and `rigid_body_field` import numpy.
+
+Every memo of the library is declared here once: a layer decorates it with
+`_memo`, which returns the plain functools.lru_cache wrapper and records it
+in `_MEMOS`, so `clear_caches` is one loop over that table and loads no
+layer.
 """
 
+import functools
 import importlib
 
 __version__ = "0.1.0"
@@ -60,6 +66,31 @@ _EXPORTS = {
 
 # `from liebutcher import *` binds the symbolic names only, so it loads no numpy.
 __all__ = [name for name, module in _EXPORTS.items() if module not in ("matrixpostlie", "sphere")]
+
+
+# the memo table: every wrapper _memo made, and the default extension's two bases
+_MEMOS = []
+
+
+def _memo(maxsize=None):
+    """functools.lru_cache(maxsize), with the wrapper recorded in _MEMOS."""
+
+    def declare(fn):
+        wrapper = functools.lru_cache(maxsize=maxsize)(fn)
+        _MEMOS.append(wrapper)
+        return wrapper
+
+    return declare
+
+
+def clear_caches() -> None:
+    """Empty every memo in _MEMOS, eval_F's plans (with the coefficients
+    they keep) and the default extension's bases among them.  A warm session
+    can then time a cold run or give the memory back.  The Tree and Forest
+    intern tables stay, since equal values must remain one object, and a
+    GraftExtension made by the caller keeps its own caches."""
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def __getattr__(name):

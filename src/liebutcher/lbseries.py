@@ -71,18 +71,19 @@ def _proper_split_sums(a: Series) -> tuple[int, dict]:
     """The lcm den of a's denominators, and per proper split (u, v) the sum
     of den * <a, f> times the multiplicity of (u, v) in deshuffle(f).
 
-    The trivial splits (1, f) and (f, 1) and a single tree's only splits
-    are skipped, so only forests of two or more trees are read.
+    The integers den * <a, f> are the kernel's (_graded).  The trivial
+    splits (1, f) and (f, 1) and a single tree's only splits are skipped, so
+    only forests of two or more trees are read.
     """
-    den = math.lcm(*(c.denominator for c in a.terms.values()))
+    _, den, blocks = _graded(a)
     sums: dict = {}
-    for f, c in a.terms.items():
-        if len(f.trees) < 2:
-            continue
-        w = c.numerator * (den // c.denominator)
-        for (u, v), m in deshuffle_forest(f):
-            if u.trees and v.trees:
-                sums[u, v] = sums.get((u, v), 0) + w * m
+    for block in blocks.values():
+        for f, w in block:
+            if len(f.trees) < 2:
+                continue
+            for (u, v), m in deshuffle_forest(f):
+                if u.trees and v.trees:
+                    sums[u, v] = sums.get((u, v), 0) + w * m
     return den, sums
 
 

@@ -27,12 +27,13 @@ receive (block, n, n) stacks.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _memo
 from .identities import dbracket, postlie_identities
 
 if TYPE_CHECKING:
@@ -307,7 +308,7 @@ class _Plan:
         self.layout = self.checked = None
 
 
-@lru_cache(maxsize=_PLANS)
+@_memo(maxsize=_PLANS)
 def _plan(support: tuple) -> _Plan:
     """The cache entry of a series support (its forests in term order)."""
     return _Plan()

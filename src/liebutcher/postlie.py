@@ -4,11 +4,13 @@ Tree-level grafting attaches the left operand's root by a new edge at every
 node of the right operand, always as the new leftmost branch.  The lift to
 forests follows the two defining rules, for a single tree x,
 
-    x |> (B . c) = (x |> B) . c + B . (x |> c)      (peel right letters)
+    x |> (B . c) = (x |> B) . c + B . (x |> c)      (Leibniz on right letters)
     (x . A) |> B = x |> (A |> B) - (x |> A) |> B    (peel left letters)
 
-closed off by I |> B = B and A |> I = <A, I> I.  The Grossman-Larson
-product is assembled from the deshuffle coproduct,
+closed off by I |> B = B and A |> I = <A, I> I.  Unrolled, the first rule
+is x |> t1..tk = sum over i of t1..(x |> ti)..tk, which _basis runs as one
+loop over the letters, so a long right operand costs no recursion.  The
+Grossman-Larson product is assembled from the deshuffle coproduct,
 
     A * B = sum over splits A -> (A1, A2) of A1 . (A2 |> B),
 
@@ -19,20 +21,22 @@ identities live in `identities`, generic over the realization; the
 functions, and the first two default to grafting and the concatenation
 commutator.
 
-Every memo here is a functools.lru_cache keyed on interned forests, and
-clear_caches empties them with those of the other layers.
+Every memo here is a functools.lru_cache keyed on interned forests.
+graft_attachments and the default extension's two bases are in the
+package's memo table, so `clear_caches` (defined in the package and
+re-exported here) empties them with those of the other layers.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 
+from . import _MEMOS, _memo, clear_caches
 from .identities import associator, dbracket, postlie_identities
-from .series import Series, _shared, _shuffle_basis, bilinear, concat, deshuffle_forest
-from .trees import Forest, Tree, _forests_raw, enumerate_trees, forest_sort_key
+from .series import Series, bilinear, concat, deshuffle_forest
+from .trees import Forest, Tree, enumerate_trees, forest_sort_key
 
 __all__ = [
     "AxiomReport",
@@ -52,7 +56,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@_memo()
 def graft_attachments(t1: Tree, t2: Tree) -> tuple[Tree, ...]:
     """Trees obtained by attaching t1 at each node of t2 (root first).
 
@@ -77,7 +81,8 @@ class GraftExtension:
     The attachments argument exists so tests can substitute a corrupted
     tree product; the module default drives triangleright and gl_product.
     basis and gl_basis are per-instance lru_caches over _basis and _gl_basis,
-    whose coefficients are ints.
+    whose coefficients are ints; only the default extension's two are in the
+    package's memo table.
     """
 
     def __init__(self, attachments=graft_attachments):
@@ -101,19 +106,14 @@ class GraftExtension:
             for f, c in self.basis(x, rest):
                 for g, d in self.basis(f, v):
                     acc[g] = acc.get(g, 0) - c * d
-        elif len(v.trees) == 1:
-            for t in self._attach(w.trees[0], v.trees[0]):
-                f = Forest((t,))
-                acc[f] = acc.get(f, 0) + 1
         else:
-            head = Forest(v.trees[:-1])
-            tail = v.trees[-1]
-            for f, c in self.basis(w, head):
-                g = Forest(f.trees + (tail,))
-                acc[g] = acc.get(g, 0) + c
-            for f, c in self.basis(w, Forest((tail,))):
-                g = Forest(head.trees + f.trees)
-                acc[g] = acc.get(g, 0) + c
+            # x |> t1..tk = sum over i of t1..(x |> ti)..tk
+            x, trees = w.trees[0], v.trees
+            for i, t in enumerate(trees):
+                head, tail = trees[:i], trees[i + 1 :]
+                for s in self._attach(x, t):
+                    f = Forest(head + (s,) + tail)
+                    acc[f] = acc.get(f, 0) + 1
         return tuple((f, c) for f, c in acc.items() if c != 0)
 
     def _gl_basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, int], ...]:
@@ -127,21 +127,7 @@ class GraftExtension:
 
 
 _DEFAULT_EXTENSION = GraftExtension()
-
-
-def clear_caches() -> None:
-    """Empty every memo of the library: those of trees, series and postlie,
-    the default extension's bases and, once matrixpostlie is loaded, eval_F's
-    plans with the coefficients they keep.  A warm session can then time a
-    cold run or give the memory back.  The Tree and Forest intern tables
-    stay, since equal values must remain one object, and a GraftExtension
-    made by the caller keeps its own caches."""
-    for memo in (_forests_raw, _shared, _shuffle_basis, deshuffle_forest, graft_attachments,
-                 _DEFAULT_EXTENSION.basis, _DEFAULT_EXTENSION.gl_basis):
-        memo.cache_clear()
-    matrix = sys.modules.get(f"{__package__}.matrixpostlie")
-    if matrix is not None:
-        matrix._plan.cache_clear()
+_MEMOS.extend((_DEFAULT_EXTENSION.basis, _DEFAULT_EXTENSION.gl_basis))
 
 
 def triangleright(a: Series, b: Series, extension: GraftExtension | None = None) -> Series:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 
+from . import _memo
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -86,7 +86,7 @@ def _as_coeff(c) -> Fraction:
 
 # Equal coefficients share one Fraction: series kept alive together repeat a
 # few thousand values, so sharing them roughly halves the memory per term.
-_shared = lru_cache(maxsize=1 << 12)(Fraction)
+_shared = _memo(maxsize=1 << 12)(Fraction)
 
 
 class Series:
@@ -338,21 +338,27 @@ def concat(a: Series, b: Series) -> Series:
     return bilinear(a, b, _concat_basis)
 
 
-@lru_cache(maxsize=None)
+@_memo()
 def _shuffle_basis(u: Forest, v: Forest) -> tuple[tuple[Forest, int], ...]:
-    # ab sh cd = a(b sh cd) + c(ab sh d), unit the empty word
-    if not u.trees:
-        return ((v, 1),)
-    if not v.trees:
-        return ((u, 1),)
-    acc: dict[Forest, int] = {}
-    for w, m in _shuffle_basis(Forest(u.trees[1:]), v):
-        key = Forest(u.trees[:1] + w.trees)
-        acc[key] = acc.get(key, 0) + m
-    for w, m in _shuffle_basis(u, Forest(v.trees[1:])):
-        key = Forest(v.trees[:1] + w.trees)
-        acc[key] = acc.get(key, 0) + m
-    return tuple(acc.items())
+    # ab sh cd = a(b sh cd) + c(ab sh d), unit the empty word.  The table of
+    # suffix pairs (u[i:], v[j:]) fills from the shortest suffixes up, one row
+    # of i at a time, so nothing recurses once per letter and only (u, v) is kept.
+    a, b = u.trees, v.trees
+    row = [((Forest(b[j:]), 1),) for j in range(len(b) + 1)]  # u[i:] empty
+    for i in range(len(a) - 1, -1, -1):
+        head = a[i : i + 1]
+        up = row  # the row of u[i+1:]
+        row = [()] * len(b) + [((Forest(a[i:]), 1),)]
+        for j in range(len(b) - 1, -1, -1):
+            acc: dict[Forest, int] = {}
+            for w, m in up[j]:
+                key = Forest(head + w.trees)
+                acc[key] = acc.get(key, 0) + m
+            for w, m in row[j + 1]:
+                key = Forest(b[j : j + 1] + w.trees)
+                acc[key] = acc.get(key, 0) + m
+            row[j] = tuple(acc.items())
+    return row[0]
 
 
 def shuffle(a: Series, b: Series) -> Series:
@@ -360,7 +366,7 @@ def shuffle(a: Series, b: Series) -> Series:
     return bilinear(a, b, _shuffle_basis)
 
 
-@lru_cache(maxsize=None)
+@_memo()
 def deshuffle_forest(f: Forest) -> tuple[tuple[tuple[Forest, Forest], int], ...]:
     """All order-preserving two-block splits of the letters of f, with multiplicity.
 

@@ -9,7 +9,8 @@ different trees.
 The canonical order used for enumeration and printing is graded by degree
 (number of nodes), ties broken lexicographically on the rendered string
 with '[' < ']' < ' '.  Trees and forests are interned (hash-consed): == and
-hash are identity, and the enumeration memo is a functools.lru_cache.
+hash are identity, and the enumeration memo is declared through the
+package's `_memo`, so `clear_caches` empties it.
 
 Counts grow like the Catalan numbers, so check_degree bounds every
 enumeration, and the CLI's --degree, by one cap: the environment variable
@@ -19,7 +20,8 @@ LIEBUTCHER_DEGREE_CAP, read on each call, or DEFAULT_DEGREE_CAP when unset.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+
+from . import _memo
 
 __all__ = [
     "DEFAULT_DEGREE_CAP",
@@ -202,7 +204,7 @@ def check_degree(n: int) -> None:
         raise DegreeCapError(f"degree {n} exceeds the cap {cap}; set {var} to raise it")
 
 
-@lru_cache(maxsize=None)
+@_memo()
 def _forests_raw(n: int) -> tuple[Forest, ...]:
     # a degree-k tree is a root over a forest of total degree k-1
     if n == 0:

@@ -7,7 +7,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -92,6 +92,44 @@ def shuffle_oracle(u: Forest, v: Forest) -> dict[Forest, int]:
         f = Forest(word)
         out[f] = out.get(f, 0) + 1
     return out
+
+
+@lru_cache(maxsize=None)
+def recursive_shuffle_basis(u: Forest, v: Forest) -> tuple[tuple[Forest, int], ...]:
+    """Shuffle oracle in term order: the memoized recursion
+    ab sh cd = a(b sh cd) + c(ab sh d), one level per letter."""
+    if not u.trees:
+        return ((v, 1),)
+    if not v.trees:
+        return ((u, 1),)
+    acc: dict[Forest, int] = {}
+    for w, m in recursive_shuffle_basis(Forest(u.trees[1:]), v):
+        key = Forest(u.trees[:1] + w.trees)
+        acc[key] = acc.get(key, 0) + m
+    for w, m in recursive_shuffle_basis(u, Forest(v.trees[1:])):
+        key = Forest(v.trees[:1] + w.trees)
+        acc[key] = acc.get(key, 0) + m
+    return tuple(acc.items())
+
+
+class PeelGraftExtension(GraftExtension):
+    """Grafting oracle in term order: a single tree acts on a forest by
+    peeling its right letters one at a time,
+    x |> (B . c) = (x |> B) . c + B . (x |> c), one memo level per letter."""
+
+    def _basis(self, w, v):
+        if len(w.trees) != 1 or len(v.trees) < 2:
+            return super()._basis(w, v)
+        head = Forest(v.trees[:-1])
+        tail = v.trees[-1]
+        acc: dict[Forest, int] = {}
+        for f, c in self.basis(w, head):
+            g = Forest(f.trees + (tail,))
+            acc[g] = acc.get(g, 0) + c
+        for f, c in self.basis(w, Forest((tail,))):
+            g = Forest(head.trees + f.trees)
+            acc[g] = acc.get(g, 0) + c
+        return tuple((f, c) for f, c in acc.items() if c != 0)
 
 
 def subset_deshuffle_forest(f: Forest) -> tuple[tuple[tuple[Forest, Forest], int], ...]:

@@ -156,6 +156,24 @@ class TestProduct:
         assert err.startswith("error:") and "nested too deeply" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, terms, coeff", [
+        (["graft", "[]", "W"], 600, "1"),
+        (["product", "--kind", "shuffle", "[]", "W"], 1, "601"),
+        (["product", "--kind", "shuffle", "W", "[]"], 1, "601"),
+        (["product", "--kind", "gl", "[]", "W"], 601, "1"),
+    ], ids=["graft", "shuffle-right", "shuffle-left", "gl"])
+    def test_a_600_tree_operand_in_a_fresh_process(self, argv, terms, coeff):
+        # W is []^600; one level of recursion per tree would overflow the stack
+        word = " ".join(["[]"] * 600)
+        argv = [word if a == "W" else a for a in argv] + ["--format", "json"]
+        src = os.path.dirname(os.path.dirname(liebutcher.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "liebutcher.cli", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        got = json.loads(proc.stdout)["terms"]
+        assert len(got) == terms and {t["coeff"] for t in got} == {coeff}
+
 
 class TestExpAndMagnus:
     def test_exp_concat_default_input(self, capsys):

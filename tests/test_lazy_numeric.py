@@ -175,6 +175,12 @@ def test_clear_caches_loads_no_numeric_layer():
     assert loaded_after(setup) == []
 
 
+def test_clear_caches_loads_no_layer():
+    # the memo table lives in the package, so emptying it imports nothing
+    setup = "import liebutcher\nliebutcher.clear_caches()"
+    assert loaded_after(setup, FOOTPRINT_MODULES) == []
+
+
 def test_the_matrix_subcommand_loads_numpy():
     argv = ["axioms", "--target", "matrix", "--kind", "lu", "--n", "3", "--samples", "2"]
     setup = f"from liebutcher import cli\nassert cli.main({argv!r}) == 0"

@@ -1,8 +1,10 @@
+import functools
+import importlib
 from fractions import Fraction
 
 import pytest
 
-from helpers import S, T
+from helpers import PeelGraftExtension, S, T
 from liebutcher.postlie import (
     GraftExtension,
     bracket,
@@ -16,7 +18,14 @@ from liebutcher.postlie import (
     triangleright,
 )
 from liebutcher.series import Series, concat
-from liebutcher.trees import DegreeCapError, Forest, Tree, enumerate_forests, enumerate_trees
+from liebutcher.trees import (
+    LEAF,
+    DegreeCapError,
+    Forest,
+    Tree,
+    enumerate_forests,
+    enumerate_trees,
+)
 
 UNIT = Series.unit()
 
@@ -96,6 +105,25 @@ class TestTriangleright:
         a = Series.of("[]", 1, 4)
         b = Series.of("[[]]", 1, 2)
         assert triangleright(a, b) == Series.zero(2)
+
+    def test_position_loop_keeps_the_peel_term_order(self):
+        # equal tuples: the same forests, coefficients and order
+        ext, oracle = GraftExtension(), PeelGraftExtension()
+        forests = forests_up_to(5)
+        for w in forests:
+            for v in forests:
+                assert ext.basis(w, v) == oracle.basis(w, v), (w, v)
+                assert ext.gl_basis(w, v) == oracle.gl_basis(w, v), (w, v)
+
+    def test_a_long_right_operand_is_one_loop(self):
+        # [] |> []^k puts the new edge on each letter in turn, with no
+        # recursion per letter
+        k = 600
+        got = triangleright(S("[]"), S(" ".join(["[]"] * k)))
+        assert list(got.terms) == [
+            Forest((LEAF,) * i + (T("[[]]"),) + (LEAF,) * (k - 1 - i)) for i in range(k)
+        ]
+        assert set(got.terms.values()) == {1}
 
 
 class TestBrackets:
@@ -186,6 +214,13 @@ class TestGrossmanLarson:
                     assert gl_product(sab, sc) == gl_product(
                         Series.of(a), gl_product(Series.of(b), sc)
                     )
+
+    def test_a_long_right_operand(self):
+        k = 600
+        word = S(" ".join(["[]"] * k))
+        got = gl_product(S("[]"), word)
+        assert got == concat(S("[]"), word) + triangleright(S("[]"), word)
+        assert len(got.terms) == k + 1
 
     def test_action_identity(self):
         # A |> (B |> z) = (A * B) |> z
@@ -321,6 +356,27 @@ class TestClearCaches:
         assert all(Tree._table[k] is t for k, t in trees.items())
         after = magnus_chi(field_generator(8), 8)
         assert after == before and after.series.to_json() == before.series.to_json()
+
+    def test_the_table_holds_every_memo_of_the_layers_and_nothing_else(self):
+        import liebutcher
+        from liebutcher import postlie
+
+        layers = ("trees", "series", "identities", "postlie", "lbseries", "matrixpostlie",
+                  "sphere", "cli")
+        lru = type(functools.lru_cache()(abs))
+        found = {
+            id(obj): obj
+            for name in layers
+            for obj in vars(importlib.import_module(f"liebutcher.{name}")).values()
+            if isinstance(obj, lru)
+        }
+        ext = postlie._DEFAULT_EXTENSION
+        found.update({id(ext.basis): ext.basis, id(ext.gl_basis): ext.gl_basis})
+        table = liebutcher._MEMOS
+        assert len({id(m) for m in table}) == len(table)
+        assert {id(m) for m in table} == set(found)
+        assert {id(m) for m in self._memos().values()} == set(found)
+        assert postlie.clear_caches is liebutcher.clear_caches
 
     def test_a_caller_made_extension_keeps_its_caches(self):
         from liebutcher.postlie import clear_caches

@@ -8,10 +8,18 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import F, S, letter_deshuffle_forest, shuffle_oracle, subset_deshuffle_forest
+from helpers import (
+    F,
+    S,
+    letter_deshuffle_forest,
+    recursive_shuffle_basis,
+    shuffle_oracle,
+    subset_deshuffle_forest,
+)
 from liebutcher.series import (
     Series,
     TruncationError,
+    _shuffle_basis,
     concat,
     deshuffle,
     deshuffle_forest,
@@ -125,6 +133,21 @@ class TestShuffle:
                 expected = shuffle_oracle(u, v)
                 got = shuffle(Series.of(u), Series.of(v))
                 assert got.terms == {f: Fraction(m) for f, m in expected.items()}
+
+    def test_suffix_table_keeps_the_recursive_term_order(self):
+        # equal tuples: the same forests, multiplicities and order
+        forests = forests_up_to(5)
+        for u in forests:
+            for v in forests:
+                assert _shuffle_basis.__wrapped__(u, v) == recursive_shuffle_basis(u, v), (u, v)
+
+    @pytest.mark.parametrize("long_side", ["left", "right"])
+    def test_a_long_operand_on_either_side(self, long_side):
+        # []^k sh [] = [] sh []^k = (k + 1) []^(k + 1), with no recursion per letter
+        k = 600
+        word = S(" ".join(["[]"] * k))
+        pair = (word, S("[]")) if long_side == "left" else (S("[]"), word)
+        assert shuffle(*pair) == S(" ".join(["[]"] * (k + 1)), k + 1)
 
     def test_commutative(self):
         forests = forests_up_to(4)
