@@ -1,25 +1,22 @@
 """Left grafting on planar trees and its lift to ordered forests.
 
 Tree-level grafting attaches the left operand's root by a new edge at every
-node of the right operand, always as the new leftmost branch.  The lift to
-forests follows the two defining rules, for a single tree x,
+node of the right operand, always as the new leftmost branch.  Forests act
+through the deshuffle coproduct w -> sum of w(1) (x) w(2),
 
-    x |> (B . c) = (x |> B) . c + B . (x |> c)      (Leibniz on right letters)
-    (x . A) |> B = x |> (A |> B) - (x |> A) |> B    (peel left letters)
+    w |> B+(c) = B+(w * c)                           (a tree, c its children)
+    w |> t1..tk = sum of (w(1) |> t1)..(w(k) |> tk)  (the coproduct iterated)
+    w * v = sum of w(1) . (w(2) |> v)                (Grossman-Larson)
 
-closed off by I |> B = B and A |> I = <A, I> I.  Unrolled, the first rule
-is x |> t1..tk = sum over i of t1..(x |> ti)..tk, which _basis runs as one
-loop over the letters, so a long right operand costs no recursion.  The
-Grossman-Larson product is assembled from the deshuffle coproduct,
-
-    A * B = sum over splits A -> (A1, A2) of A1 . (A2 |> B),
-
-which restricts to a.b + a |> b on single trees and is associative with
-unit I.  Everything here is exact and degree-additive.  The post-Lie
-identities live in `identities`, generic over the realization; the
-`associator`, `dbracket` and `postlie_identities` exported here are those
-functions, and the first two default to grafting and the concatenation
-commutator.
+closed off by I |> v = v and w |> I = <w, I> I.  One fold runs all three:
+it places the letters of w onto the slots of v one slot at a time, so no
+term cancels and neither a long left nor a long right operand costs
+recursion.  The Grossman-Larson product restricts to a.b + a |> b on single
+trees and is associative with unit I.  Everything here is exact and
+degree-additive.  The post-Lie identities live in `identities`, generic over
+the realization; the `associator`, `dbracket` and `postlie_identities`
+exported here are those functions, and the first two default to grafting
+and the concatenation commutator.
 
 Every memo here is a functools.lru_cache keyed on interned forests.
 graft_attachments and the default extension's two bases are in the
@@ -36,7 +33,7 @@ from functools import lru_cache, partial
 from . import _MEMOS, _memo, clear_caches
 from .identities import associator, dbracket, postlie_identities
 from .series import Series, bilinear, concat, deshuffle_forest
-from .trees import Forest, Tree, enumerate_trees, forest_sort_key
+from .trees import EMPTY_FOREST, Forest, Tree, enumerate_trees, forest_sort_key
 
 __all__ = [
     "AxiomReport",
@@ -76,54 +73,57 @@ def graft(t1: Tree, t2: Tree) -> Series:
 
 
 class GraftExtension:
-    """Lift of a tree-level grafting rule to ordered forests.
+    """Grafting and the Grossman-Larson product on basis forests.
 
-    The attachments argument exists so tests can substitute a corrupted
-    tree product; the module default drives triangleright and gl_product.
     basis and gl_basis are per-instance lru_caches over _basis and _gl_basis,
     whose coefficients are ints; only the default extension's two are in the
-    package's memo table.
+    package's memo table.  Both read their terms off one fold, whose tree
+    slots go through basis, so a subclass that overrides _basis changes the
+    grafting that every forest and gl_basis see.
     """
 
-    def __init__(self, attachments=graft_attachments):
-        self._attach = attachments
+    def __init__(self):
         self.basis = lru_cache(maxsize=None)(self._basis)
         self.gl_basis = lru_cache(maxsize=None)(self._gl_basis)
 
+    def _fold(self, states: dict, trees: tuple) -> dict:
+        """Place each state's letters onto the slots t1..tk, one slot at a time.
+
+        A state (trees placed, letters left) maps to its coefficient.  Slot
+        ti takes the left block of each deshuffle split of the letters left,
+        the last slot takes them all, and a state with none left appends the
+        remaining slots as they are.  Returns tuples of trees -> coefficient.
+        """
+        out: dict[tuple, int] = {}
+        for i in range(len(trees) + 1):
+            slot, grown = Forest(trees[i : i + 1]), {}
+            for (head, w), c in states.items():
+                if not w.trees:
+                    out[head + trees[i:]] = out.get(head + trees[i:], 0) + c
+                elif slot.trees:  # letters left past the last slot give <w, I> = 0
+                    last = i == len(trees) - 1
+                    for (block, rest), m in (((w, EMPTY_FOREST), 1),) if last else deshuffle_forest(w):
+                        for f, d in self.basis(block, slot) if block.trees else ((slot, 1),):
+                            key = head + f.trees, rest
+                            grown[key] = grown.get(key, 0) + c * m * d
+            states = grown
+        return out
+
     def _basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, int], ...]:
         """w |> v for basis forests, as (forest, coefficient) pairs."""
-        acc: dict[Forest, int] = {}
-        if not w.trees:
-            acc[v] = 1
-        elif not v.trees:
-            pass  # <w, I> = 0 once w is non-empty
-        elif len(w.trees) > 1:
-            x = Forest(w.trees[:1])
-            rest = Forest(w.trees[1:])
-            for f, c in self.basis(rest, v):
-                for g, d in self.basis(x, f):
-                    acc[g] = acc.get(g, 0) + c * d
-            for f, c in self.basis(x, rest):
-                for g, d in self.basis(f, v):
-                    acc[g] = acc.get(g, 0) - c * d
-        else:
-            # x |> t1..tk = sum over i of t1..(x |> ti)..tk
-            x, trees = w.trees[0], v.trees
-            for i, t in enumerate(trees):
-                head, tail = trees[:i], trees[i + 1 :]
-                for s in self._attach(x, t):
-                    f = Forest(head + (s,) + tail)
-                    acc[f] = acc.get(f, 0) + 1
-        return tuple((f, c) for f, c in acc.items() if c != 0)
+        if w.trees and len(v.trees) == 1:  # w |> B+(c) = B+(w * c)
+            out = self._fold(_heads(w), v.trees[0].children)
+            return tuple((Forest((Tree(f),)), c) for f, c in out.items())
+        return tuple((Forest(f), c) for f, c in self._fold({((), w): 1}, v.trees).items())
 
     def _gl_basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, int], ...]:
-        """w * v for basis forests via the deshuffle coproduct."""
-        acc: dict[Forest, int] = {}
-        for (left, right), mult in deshuffle_forest(w):
-            for f, c in self.basis(right, v):
-                g = Forest(left.trees + f.trees)
-                acc[g] = acc.get(g, 0) + mult * c
-        return tuple((f, c) for f, c in acc.items() if c != 0)
+        """w * v for basis forests, as (forest, coefficient) pairs."""
+        return tuple((Forest(f), c) for f, c in self._fold(_heads(w), v.trees).items())
+
+
+def _heads(w: Forest) -> dict:
+    # the fold's start for w * v: each split w(1) (x) w(2), w(1) placed in front
+    return {(left.trees, right): m for (left, right), m in deshuffle_forest(w)}
 
 
 _DEFAULT_EXTENSION = GraftExtension()

@@ -20,7 +20,7 @@ from liebutcher.postlie import (
     graft_attachments,
     postlie_identities,
 )
-from liebutcher.series import Series, concat, deshuffle, min_trunc, shuffle
+from liebutcher.series import Series, concat, deshuffle, deshuffle_forest, min_trunc, shuffle
 from liebutcher.sphere import ConvergenceError, norm_defect, rot_exp
 from liebutcher.trees import (
     EMPTY_FOREST,
@@ -113,22 +113,38 @@ def recursive_shuffle_basis(u: Forest, v: Forest) -> tuple[tuple[Forest, int], .
 
 
 class PeelGraftExtension(GraftExtension):
-    """Grafting oracle in term order: a single tree acts on a forest by
-    peeling its right letters one at a time,
-    x |> (B . c) = (x |> B) . c + B . (x |> c), one memo level per letter."""
+    """Grafting oracle with no coproduct fold: a single tree x acts on a
+    forest by one loop over its letters on graft_attachments,
+    x |> t1..tk = sum over i of t1..(x |> ti)..tk, and a longer left operand
+    peels its first letter, (x . A) |> B = x |> (A |> B) - (x |> A) |> B,
+    whose second sum cancels the terms where x lands on a letter of A."""
 
     def _basis(self, w, v):
-        if len(w.trees) != 1 or len(v.trees) < 2:
-            return super()._basis(w, v)
-        head = Forest(v.trees[:-1])
-        tail = v.trees[-1]
         acc: dict[Forest, int] = {}
-        for f, c in self.basis(w, head):
-            g = Forest(f.trees + (tail,))
-            acc[g] = acc.get(g, 0) + c
-        for f, c in self.basis(w, Forest((tail,))):
-            g = Forest(head.trees + f.trees)
-            acc[g] = acc.get(g, 0) + c
+        if not w.trees:
+            acc[v] = 1
+        elif len(w.trees) > 1:
+            x, rest = Forest(w.trees[:1]), Forest(w.trees[1:])
+            for f, c in self.basis(rest, v):
+                for g, d in self.basis(x, f):
+                    acc[g] = acc.get(g, 0) + c * d
+            for f, c in self.basis(x, rest):
+                for g, d in self.basis(f, v):
+                    acc[g] = acc.get(g, 0) - c * d
+        else:
+            x, trees = w.trees[0], v.trees
+            for i, t in enumerate(trees):
+                for s in graft_attachments(x, t):
+                    f = Forest(trees[:i] + (s,) + trees[i + 1 :])
+                    acc[f] = acc.get(f, 0) + 1
+        return tuple((f, c) for f, c in acc.items() if c != 0)
+
+    def _gl_basis(self, w, v):
+        acc: dict[Forest, int] = {}
+        for (left, right), mult in deshuffle_forest(w):
+            for f, c in self.basis(right, v):
+                g = Forest(left.trees + f.trees)
+                acc[g] = acc.get(g, 0) + mult * c
         return tuple((f, c) for f, c in acc.items() if c != 0)
 
 

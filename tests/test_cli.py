@@ -25,6 +25,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv):
+    """The JSON terms of `python -m liebutcher.cli argv --format json`, run
+    in a fresh process with this checkout's package, after checking that it
+    exits 0 with no traceback."""
+    src = os.path.dirname(os.path.dirname(liebutcher.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "liebutcher.cli", *argv, "--format", "json"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    return json.loads(proc.stdout)["terms"]
+
+
 class TestGraft:
     def test_text_output(self, capsys):
         code, out, err = run(capsys, "graft", "[[]]", "[[][]]")
@@ -165,14 +178,31 @@ class TestProduct:
     def test_a_600_tree_operand_in_a_fresh_process(self, argv, terms, coeff):
         # W is []^600; one level of recursion per tree would overflow the stack
         word = " ".join(["[]"] * 600)
-        argv = [word if a == "W" else a for a in argv] + ["--format", "json"]
-        src = os.path.dirname(os.path.dirname(liebutcher.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "liebutcher.cli", *argv], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
-        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
-        got = json.loads(proc.stdout)["terms"]
+        got = run_fresh(*[word if a == "W" else a for a in argv])
         assert len(got) == terms and {t["coeff"] for t in got} == {coeff}
+
+    @pytest.mark.parametrize("argv, terms, total", [
+        (["graft"], 6435, 8**8),
+        (["product", "--kind", "gl"], 12870, 9**8),
+    ], ids=["graft", "gl"])
+    def test_eight_one_node_trees_on_the_left_in_a_fresh_process(self, argv, terms, total):
+        # each [] lands on one of the 8 nodes (or, in gl, the head) on its own
+        got = run_fresh(*argv, " ".join(["[]"] * 8), "[[[[]]]] [[]] [] []")
+        assert len(got) == terms and sum(int(t["coeff"]) for t in got) == total
+
+    @pytest.mark.parametrize("argv, extra", [(["graft"], 0), (["product", "--kind", "gl"], 1)],
+                             ids=["graft", "gl"])
+    @pytest.mark.parametrize("shape", ["chain", "branching"])
+    def test_one_node_on_a_tree_of_the_deepest_nesting(self, argv, extra, shape):
+        # the chain [[..[]..]] and [[..[[] []] ..] []], which branches at every
+        # level, both MAX_DEPTH deep: one term per node (and the head in gl)
+        tree = "[" * MAX_DEPTH + "]" * MAX_DEPTH
+        if shape == "branching":
+            tree = "[]"
+            for _ in range(MAX_DEPTH - 1):
+                tree = f"[{tree} []]"
+        got = run_fresh(*argv, "[]", tree)
+        assert len(got) == tree.count("[") + extra and {t["coeff"] for t in got} == {"1"}
 
 
 class TestExpAndMagnus:

@@ -1,5 +1,7 @@
 import functools
 import importlib
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,6 @@ from liebutcher.postlie import (
     forget_planarity,
     gl_product,
     graft,
-    graft_attachments,
     symmetrized_associator_defect,
     triangleright,
 )
@@ -106,14 +107,45 @@ class TestTriangleright:
         b = Series.of("[[]]", 1, 2)
         assert triangleright(a, b) == Series.zero(2)
 
-    def test_position_loop_keeps_the_peel_term_order(self):
-        # equal tuples: the same forests, coefficients and order
+    def test_the_fold_agrees_with_the_peel(self, monkeypatch):
+        # the same terms and coefficients on every pair of forests of degree
+        # <= 5 and on a seeded sample up to total degree 10; a single left tree
+        # also keeps the term order.  A longer left operand cannot: the peel
+        # orders terms by where the last letter lands, the fold by the block
+        # that the first slot takes: with x = [] and y = [[]], x y |> [] [] []
+        # lists y@1 x@2 before x@1 y@2 in the peel and after it in the fold
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "10")
         ext, oracle = GraftExtension(), PeelGraftExtension()
         forests = forests_up_to(5)
-        for w in forests:
-            for v in forests:
-                assert ext.basis(w, v) == oracle.basis(w, v), (w, v)
-                assert ext.gl_basis(w, v) == oracle.gl_basis(w, v), (w, v)
+        pairs = [(w, v) for w in forests for v in forests]
+        by_degree = [enumerate_forests(d) for d in range(11)]
+        rng = random.Random(23)
+        for _ in range(5000):
+            n = rng.randint(0, 10)
+            p = rng.randint(0, n)
+            pairs.append((rng.choice(by_degree[p]), rng.choice(by_degree[n - p])))
+        for w, v in pairs:
+            for got, want in ((ext.basis(w, v), oracle.basis(w, v)),
+                              (ext.gl_basis(w, v), oracle.gl_basis(w, v))):
+                assert dict(got) == dict(want), (w, v)
+                if len(w.trees) <= 1:
+                    assert got == want, (w, v)
+
+    @pytest.mark.parametrize("product, places", [(triangleright, 8), (gl_product, 9)],
+                             ids=["graft", "gl"])
+    def test_one_node_trees_on_the_left_in_closed_form(self, product, places):
+        # each of k equal letters picks one of the 8 nodes of v, or in the GL
+        # product also the head: C(places + k - 1, k) forests, whose
+        # coefficients sum to places^k
+        v = S("[[[[]]]] [[]] [] []")
+        oracle = PeelGraftExtension()
+        for k in range(9):
+            w = S(" ".join(["[]"] * k) or "1")
+            got = product(w, v)
+            assert len(got.terms) == math.comb(places + k - 1, k)
+            assert sum(got.terms.values()) == places**k
+            if k <= 6:
+                assert got == product(w, v, extension=oracle)
 
     def test_a_long_right_operand_is_one_loop(self):
         # [] |> []^k puts the new edge on each letter in turn, with no
@@ -274,9 +306,16 @@ class _BrokenLeibniz(GraftExtension):
         return super()._basis(w, v)
 
 
-def _doubled_root(t1, t2):
-    attachments = graft_attachments(t1, t2)
-    return (attachments[0],) + attachments
+class _DoubledRoot(GraftExtension):
+    """Counts the root attachment B+(x . c) twice when a single tree x acts
+    on a single tree B+(c)."""
+
+    def _basis(self, w, v):
+        if len(w.trees) == 1 and len(v.trees) == 1:
+            x, t = w.trees[0], v.trees[0]
+            root = Forest((Tree((x,) + t.children),))
+            return tuple((f, c + (f is root)) for f, c in graft(x, t).terms.items())
+        return super()._basis(w, v)
 
 
 class TestPreLieDegeneration:
@@ -296,7 +335,7 @@ class TestPreLieDegeneration:
         assert next(iter(merged.terms.values())) == 2
 
     def test_corrupted_graft_breaks_degeneration(self):
-        ext = GraftExtension(attachments=_doubled_root)
+        ext = _DoubledRoot()
         leaf = T("[]")
         chain = T("[[]]")
         defects = [
