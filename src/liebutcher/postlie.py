@@ -8,15 +8,17 @@ through the deshuffle coproduct w -> sum of w(1) (x) w(2),
     w |> t1..tk = sum of (w(1) |> t1)..(w(k) |> tk)  (the coproduct iterated)
     w * v = sum of w(1) . (w(2) |> v)                (Grossman-Larson)
 
-closed off by I |> v = v and w |> I = <w, I> I.  One fold runs all three:
-it places the letters of w onto the slots of v one slot at a time, so no
-term cancels and neither a long left nor a long right operand costs
-recursion.  The Grossman-Larson product restricts to a.b + a |> b on single
-trees and is associative with unit I.  Everything here is exact and
-degree-additive.  The post-Lie identities live in `identities`, generic over
-the realization; the `associator`, `dbracket` and `postlie_identities`
-exported here are those functions, and the first two default to grafting
-and the concatenation commutator.
+closed off by I |> v = v and w |> I = <w, I> I.  Unfolded, w |> v sums, over
+the splits of w into one block per node of v (letters kept in order), v with
+each block put in front of its node's children.  One loop builds those
+splits, placing the letters of w last first, so no term cancels, terms come
+ordered by the node of the last letter, then of the one before, and no
+operand length costs recursion.  The Grossman-Larson product restricts to
+a.b + a |> b on single trees and is associative with unit I.  Everything
+here is exact and degree-additive.  The post-Lie identities live in
+`identities`, generic over the realization; the `associator`, `dbracket` and
+`postlie_identities` exported here are those functions, and the first two
+default to grafting and the concatenation commutator.
 
 Every memo here is a functools.lru_cache keyed on interned forests.
 graft_attachments and the default extension's two bases are in the
@@ -33,7 +35,7 @@ from functools import lru_cache, partial
 from . import _MEMOS, _memo, clear_caches
 from .identities import associator, dbracket, postlie_identities
 from .series import Series, bilinear, concat, deshuffle_forest
-from .trees import EMPTY_FOREST, Forest, Tree, enumerate_trees, forest_sort_key
+from .trees import Forest, Tree, enumerate_trees, forest_sort_key
 
 __all__ = [
     "AxiomReport",
@@ -77,53 +79,51 @@ class GraftExtension:
 
     basis and gl_basis are per-instance lru_caches over _basis and _gl_basis,
     whose coefficients are ints; only the default extension's two are in the
-    package's memo table.  Both read their terms off one fold, whose tree
-    slots go through basis, so a subclass that overrides _basis changes the
-    grafting that every forest and gl_basis see.
+    package's memo table.  gl_basis reads w(2) |> v off basis, so a subclass
+    that overrides _basis changes the Grossman-Larson product with it.
     """
 
     def __init__(self):
         self.basis = lru_cache(maxsize=None)(self._basis)
         self.gl_basis = lru_cache(maxsize=None)(self._gl_basis)
 
-    def _fold(self, states: dict, trees: tuple) -> dict:
-        """Place each state's letters onto the slots t1..tk, one slot at a time.
-
-        A state (trees placed, letters left) maps to its coefficient.  Slot
-        ti takes the left block of each deshuffle split of the letters left,
-        the last slot takes them all, and a state with none left appends the
-        remaining slots as they are.  Returns tuples of trees -> coefficient.
-        """
-        out: dict[tuple, int] = {}
-        for i in range(len(trees) + 1):
-            slot, grown = Forest(trees[i : i + 1]), {}
-            for (head, w), c in states.items():
-                if not w.trees:
-                    out[head + trees[i:]] = out.get(head + trees[i:], 0) + c
-                elif slot.trees:  # letters left past the last slot give <w, I> = 0
-                    last = i == len(trees) - 1
-                    for (block, rest), m in (((w, EMPTY_FOREST), 1),) if last else deshuffle_forest(w):
-                        for f, d in self.basis(block, slot) if block.trees else ((slot, 1),):
-                            key = head + f.trees, rest
-                            grown[key] = grown.get(key, 0) + c * m * d
-            states = grown
-        return out
-
     def _basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, int], ...]:
-        """w |> v for basis forests, as (forest, coefficient) pairs."""
-        if w.trees and len(v.trees) == 1:  # w |> B+(c) = B+(w * c)
-            out = self._fold(_heads(w), v.trees[0].children)
-            return tuple((Forest((Tree(f),)), c) for f, c in out.items())
-        return tuple((Forest(f), c) for f, c in self._fold({((), w): 1}, v.trees).items())
+        """w |> v for basis forests: each letter of w, last first, goes to the
+        front of the block of one node of v (preorder); equal states merge."""
+        states = {((),) * v.degree: 1}
+        for x in reversed(w.trees):
+            grown: dict[tuple, int] = {}
+            for blocks, c in states.items():
+                for i, block in enumerate(blocks):
+                    key = blocks[:i] + ((x,) + block,) + blocks[i + 1 :]
+                    grown[key] = grown.get(key, 0) + c
+            states = grown
+        return tuple((Forest(_attach(v.trees, b, 0, [i for i, x in enumerate(b) if x][::-1])), c)
+                     for b, c in states.items())
 
     def _gl_basis(self, w: Forest, v: Forest) -> tuple[tuple[Forest, int], ...]:
         """w * v for basis forests, as (forest, coefficient) pairs."""
-        return tuple((Forest(f), c) for f, c in self._fold(_heads(w), v.trees).items())
+        acc: dict[Forest, int] = {}
+        for (left, right), mult in deshuffle_forest(w):
+            for f, c in self.basis(right, v):
+                g = Forest(left.trees + f.trees)
+                acc[g] = acc.get(g, 0) + mult * c
+        return tuple(acc.items())
 
 
-def _heads(w: Forest) -> dict:
-    # the fold's start for w * v: each split w(1) (x) w(2), w(1) placed in front
-    return {(left.trees, right): m for (left, right), m in deshuffle_forest(w)}
+def _attach(trees: tuple, blocks: tuple, i: int, todo: list) -> tuple:
+    # trees, nodes blocks[i:] in preorder, each block put in front of its node's
+    # children; todo holds the non-empty blocks' indices >= i, largest first
+    out = []
+    for t in trees:
+        end = i + t.degree
+        if todo and todo[-1] < end:
+            if todo[-1] == i:
+                todo.pop()
+            t = Tree(blocks[i] + _attach(t.children, blocks, i + 1, todo))
+        out.append(t)
+        i = end
+    return tuple(out)
 
 
 _DEFAULT_EXTENSION = GraftExtension()

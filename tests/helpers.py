@@ -25,6 +25,7 @@ from liebutcher.sphere import ConvergenceError, norm_defect, rot_exp
 from liebutcher.trees import (
     EMPTY_FOREST,
     LEAF,
+    MAX_DEPTH,
     Forest,
     Tree,
     enumerate_forests,
@@ -46,6 +47,17 @@ def T(text: str) -> Tree:
 
 def S(text: str, coeff=1, trunc=None) -> Series:
     return Series.of(text, coeff, trunc)
+
+
+def deep_tree(shape: str) -> str:
+    """A tree MAX_DEPTH levels deep: the chain [[..[]..]], or, for
+    "branching", [[..[[] []] ..] []], which branches at every level."""
+    if shape == "chain":
+        return "[" * MAX_DEPTH + "]" * MAX_DEPTH
+    tree = "[]"
+    for _ in range(MAX_DEPTH - 1):
+        tree = f"[{tree} []]"
+    return tree
 
 
 def brute_force_trees(n: int) -> set[Tree]:
@@ -113,7 +125,7 @@ def recursive_shuffle_basis(u: Forest, v: Forest) -> tuple[tuple[Forest, int], .
 
 
 class PeelGraftExtension(GraftExtension):
-    """Grafting oracle with no coproduct fold: a single tree x acts on a
+    """Grafting oracle that places no blocks: a single tree x acts on a
     forest by one loop over its letters on graft_attachments,
     x |> t1..tk = sum over i of t1..(x |> ti)..tk, and a longer left operand
     peels its first letter, (x . A) |> B = x |> (A |> B) - (x |> A) |> B,

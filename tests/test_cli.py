@@ -16,7 +16,7 @@ from liebutcher import sphere
 from liebutcher.cli import _rigid_body, main
 from liebutcher.trees import MAX_DEPTH, DegreeCapError, check_degree
 
-from helpers import csv_module_trajectory
+from helpers import csv_module_trajectory, deep_tree
 
 
 def run(capsys, *argv):
@@ -68,13 +68,18 @@ class TestGraft:
         assert code == 0
         assert out.strip() == "1\t[[] []]"
 
-    def test_deepest_allowed_nesting(self, capsys):
-        deep = "[" * MAX_DEPTH + "]" * MAX_DEPTH
-        code, out, err = run(capsys, "graft", "[]", deep, "--format", "json")
+    @pytest.mark.parametrize("argv, extra", [(["graft"], 0), (["product", "--kind", "gl"], 1)],
+                             ids=["graft", "gl"])
+    @pytest.mark.parametrize("shape", ["chain", "branching"])
+    def test_deepest_allowed_nesting(self, capsys, argv, extra, shape):
+        # [] lands on each node of the tree (and, in gl, stands in front)
+        deep = deep_tree(shape)
+        nodes = deep.count("[")
+        code, out, err = run(capsys, *argv, "[]", deep, "--format", "json")
         assert code == 0 and err == ""
         terms = json.loads(out)["terms"]
-        assert len(terms) == MAX_DEPTH
-        assert all(t["forest"].count("[") == MAX_DEPTH + 1 for t in terms)
+        assert len(terms) == nodes + extra
+        assert all(t["forest"].count("[") == nodes + 1 and t["coeff"] == "1" for t in terms)
 
     @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
     def test_too_deep_nesting_is_rejected(self, capsys, depth):
@@ -189,20 +194,6 @@ class TestProduct:
         # each [] lands on one of the 8 nodes (or, in gl, the head) on its own
         got = run_fresh(*argv, " ".join(["[]"] * 8), "[[[[]]]] [[]] [] []")
         assert len(got) == terms and sum(int(t["coeff"]) for t in got) == total
-
-    @pytest.mark.parametrize("argv, extra", [(["graft"], 0), (["product", "--kind", "gl"], 1)],
-                             ids=["graft", "gl"])
-    @pytest.mark.parametrize("shape", ["chain", "branching"])
-    def test_one_node_on_a_tree_of_the_deepest_nesting(self, argv, extra, shape):
-        # the chain [[..[]..]] and [[..[[] []] ..] []], which branches at every
-        # level, both MAX_DEPTH deep: one term per node (and the head in gl)
-        tree = "[" * MAX_DEPTH + "]" * MAX_DEPTH
-        if shape == "branching":
-            tree = "[]"
-            for _ in range(MAX_DEPTH - 1):
-                tree = f"[{tree} []]"
-        got = run_fresh(*argv, "[]", tree)
-        assert len(got) == tree.count("[") + extra and {t["coeff"] for t in got} == {"1"}
 
 
 class TestExpAndMagnus:

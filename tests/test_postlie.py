@@ -2,11 +2,12 @@ import functools
 import importlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from helpers import PeelGraftExtension, S, T
+from helpers import PeelGraftExtension, S, T, deep_tree
 from liebutcher.postlie import (
     GraftExtension,
     bracket,
@@ -21,6 +22,7 @@ from liebutcher.postlie import (
 from liebutcher.series import Series, concat
 from liebutcher.trees import (
     LEAF,
+    MAX_DEPTH,
     DegreeCapError,
     Forest,
     Tree,
@@ -107,13 +109,10 @@ class TestTriangleright:
         b = Series.of("[[]]", 1, 2)
         assert triangleright(a, b) == Series.zero(2)
 
-    def test_the_fold_agrees_with_the_peel(self, monkeypatch):
-        # the same terms and coefficients on every pair of forests of degree
-        # <= 5 and on a seeded sample up to total degree 10; a single left tree
-        # also keeps the term order.  A longer left operand cannot: the peel
-        # orders terms by where the last letter lands, the fold by the block
-        # that the first slot takes: with x = [] and y = [[]], x y |> [] [] []
-        # lists y@1 x@2 before x@1 y@2 in the peel and after it in the fold
+    def test_position_loop_keeps_the_peel_term_order(self, monkeypatch):
+        # equal tuples: the same forests, coefficients and order, on every
+        # pair of forests of degree <= 5 and on a seeded sample up to total
+        # degree 10
         monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "10")
         ext, oracle = GraftExtension(), PeelGraftExtension()
         forests = forests_up_to(5)
@@ -125,11 +124,8 @@ class TestTriangleright:
             p = rng.randint(0, n)
             pairs.append((rng.choice(by_degree[p]), rng.choice(by_degree[n - p])))
         for w, v in pairs:
-            for got, want in ((ext.basis(w, v), oracle.basis(w, v)),
-                              (ext.gl_basis(w, v), oracle.gl_basis(w, v))):
-                assert dict(got) == dict(want), (w, v)
-                if len(w.trees) <= 1:
-                    assert got == want, (w, v)
+            assert ext.basis(w, v) == oracle.basis(w, v), (w, v)
+            assert ext.gl_basis(w, v) == oracle.gl_basis(w, v), (w, v)
 
     @pytest.mark.parametrize("product, places", [(triangleright, 8), (gl_product, 9)],
                              ids=["graft", "gl"])
@@ -146,6 +142,26 @@ class TestTriangleright:
             assert sum(got.terms.values()) == places**k
             if k <= 6:
                 assert got == product(w, v, extension=oracle)
+
+    @pytest.mark.parametrize("product, extra", [(triangleright, 0), (gl_product, 1)],
+                             ids=["graft", "gl"])
+    @pytest.mark.parametrize("shape", ["chain", "branching"])
+    def test_one_frame_per_level_of_a_deep_tree(self, product, extra, shape):
+        # [] on a MAX_DEPTH-deep tree, with the recursion limit at the current
+        # depth plus one frame per level and 30 for the call: a product that
+        # spent two frames per level would overflow here
+        v = S(deep_tree(shape))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + MAX_DEPTH + 30)
+        try:
+            got = product(S("[]"), v, extension=GraftExtension())
+        finally:
+            sys.setrecursionlimit(limit)
+        degree = next(iter(v.terms)).degree
+        assert len(got.terms) == degree + extra and set(got.terms.values()) == {1}
 
     def test_a_long_right_operand_is_one_loop(self):
         # [] |> []^k puts the new edge on each letter in turn, with no
