@@ -14,8 +14,8 @@ the symbolic layers, and nothing symbolic imports numpy.  Of the numeric
 layers, the matrix realization imports numpy and the post-Lie identities
 (`identities`) only, so its identity checks load no symbolic layer;
 `eval_F` is the one bridge that loads the symbolic layers, inside the
-call.  The sphere steps run in plain floats, and only its matrix forms
-`hat`/`rot_exp` and `rigid_body_field` import numpy.
+call.  The sphere steps run in plain floats, and only its matrix form
+`rot_exp` and the array field `rigid_body_field` import numpy.
 
 Every memo of the library is declared here once: a layer decorates it with
 `_memo`, which returns the plain functools.lru_cache wrapper and records it
@@ -58,7 +58,7 @@ _EXPORTS = {
         "matrixpostlie",
     ),
     **dict.fromkeys(
-        ("convergence_study", "hat", "rigid_body_field", "rot_exp", "step_lie_euler",
+        ("convergence_study", "rigid_body_field", "rot_exp", "step_lie_euler",
          "step_lie_midpoint"),
         "sphere",
     ),

@@ -10,15 +10,16 @@ through the deshuffle coproduct w -> sum of w(1) (x) w(2),
 
 closed off by I |> v = v and w |> I = <w, I> I.  Unfolded, w |> v sums, over
 the splits of w into one block per node of v (letters kept in order), v with
-each block put in front of its node's children.  One loop builds those
-splits, placing the letters of w last first, so no term cancels, terms come
-ordered by the node of the last letter, then of the one before, and no
-operand length costs recursion.  The Grossman-Larson product restricts to
-a.b + a |> b on single trees and is associative with unit I.  Everything
-here is exact and degree-additive.  The post-Lie identities live in
-`identities`, generic over the realization; the `associator`, `dbracket` and
-`postlie_identities` exported here are those functions, and the first two
-default to grafting and the concatenation commutator.
+each block put in front of its node's children.  One loop builds those splits,
+placing the letters of w last first, so no term cancels, terms come ordered by
+the node of the last letter, then of the one before, and no operand length
+costs recursion; graft_attachments reads tree-level grafting off it.  The
+Grossman-Larson product restricts to a.b + a |> b on single trees and is
+associative with unit I.  Everything here is exact and degree-additive.  The
+post-Lie identities live in `identities`, generic over the realization; the
+`associator`, `dbracket` and `postlie_identities` exported here are those
+functions, and the first two default to grafting and the concatenation
+commutator.
 
 Every memo here is a functools.lru_cache keyed on interned forests.
 graft_attachments and the default extension's two bases are in the
@@ -53,20 +54,6 @@ __all__ = [
     "symmetrized_associator_defect",
     "triangleright",
 ]
-
-
-@_memo()
-def graft_attachments(t1: Tree, t2: Tree) -> tuple[Tree, ...]:
-    """Trees obtained by attaching t1 at each node of t2 (root first).
-
-    One entry per node of t2, repeats kept, so the list length equals
-    degree(t2).
-    """
-    out = [Tree((t1,) + t2.children)]
-    for i, child in enumerate(t2.children):
-        for sub in graft_attachments(t1, child):
-            out.append(Tree(t2.children[:i] + (sub,) + t2.children[i + 1 :]))
-    return tuple(out)
 
 
 def graft(t1: Tree, t2: Tree) -> Series:
@@ -128,6 +115,12 @@ def _attach(trees: tuple, blocks: tuple, i: int, todo: list) -> tuple:
 
 _DEFAULT_EXTENSION = GraftExtension()
 _MEMOS.extend((_DEFAULT_EXTENSION.basis, _DEFAULT_EXTENSION.gl_basis))
+
+
+@_memo()
+def graft_attachments(t1: Tree, t2: Tree) -> tuple[Tree, ...]:
+    """t1 attached at each node of t2, in preorder: the default basis on single trees."""
+    return tuple(f.trees[0] for f, _ in _DEFAULT_EXTENSION.basis(Forest((t1,)), Forest((t2,))))
 
 
 def triangleright(a: Series, b: Series, extension: GraftExtension | None = None) -> Series:

@@ -1,12 +1,13 @@
 """Integrators on the unit sphere driven by rotations.
 
-The equation y' = omega(y) x y is advanced by rotating the point with
-Rodrigues' formula for exp(hat(w)), so every update is an exact rotation
-up to roundoff and step sequences stay on the sphere without
-renormalization.  The exponential acts on the point and is never formed
-as a matrix: points are 3-tuples of floats and the stepping path runs in
-plain Python floats.  Only the matrix forms `hat` and `rot_exp` and the
-array-valued `rigid_body_field` import numpy.
+The equation y' = omega(y) x y is advanced by rotating the point by an
+angle vector w (about w, through the angle |w|) with Rodrigues' formula,
+so every update is an exact rotation up to roundoff and step sequences
+stay on the sphere without renormalization.  The rotation acts on the
+point and is never formed as a matrix: points are 3-tuples of floats and
+the stepping path runs in plain Python floats.  Only the matrix form
+`rot_exp`, whose columns are rotated unit vectors, and the array-valued
+`rigid_body_field` import numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "ConvergenceError",
     "Point",
     "convergence_study",
-    "hat",
     "integrate",
     "norm_defect",
     "rigid_body_field",
@@ -64,7 +64,7 @@ def _rodrigues(t2: float) -> tuple[float, float]:
 
 
 def _rotate(w: Point, v: Point) -> Point:
-    """exp(hat(w)) v as v + a (w x v) + b (w x (w x v))."""
+    """v rotated by w, as v + a (w x v) + b (w x (w x v))."""
     x, y, z = w
     v0, v1, v2 = v
     a, b = _rodrigues(x * x + y * y + z * z)
@@ -78,33 +78,15 @@ def _rotate(w: Point, v: Point) -> Point:
     )
 
 
-def hat(w) -> np.ndarray:
-    """Skew matrix with hat(w) v = w x v."""
-    import numpy as np
-
-    w = np.asarray(w, dtype=float)
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-
-
 def rot_exp(w) -> np.ndarray:
-    """Rotation exp(hat(w)) as a matrix, in closed form.
-
-    The steps never build it; it is the matrix form of their rotation.  An
-    angle whose square is not a finite float raises OverflowError.
-    """
+    """The rotation by w as a matrix, whose columns are the unit vectors
+    rotated by w; no step builds it.  An angle whose square is not a finite
+    float raises OverflowError."""
     import numpy as np
 
-    w = np.asarray(w, dtype=float)
-    x, y, z = w.tolist()
-    a, b = _rodrigues(x * x + y * y + z * z)
-    k = hat(w)
-    return np.eye(3) + a * k + b * (k @ k)
+    w = tuple(map(float, w))
+    units = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+    return np.array([_rotate(w, e) for e in units]).T
 
 
 def _shape(v) -> tuple[int, ...]:
@@ -149,7 +131,7 @@ def _angle(field: AngularField, y: Point, h: float) -> Point:
 
 
 def step_lie_euler(field: AngularField, y0: Point, h: float) -> Point:
-    """One step y1 = exp(h hat(omega(y0))) y0."""
+    """One step: y1 is y0 rotated by h omega(y0)."""
     return _rotate(_angle(field, y0, h), y0)
 
 
@@ -184,10 +166,16 @@ def step_lie_midpoint(
 
 def rigid_body_field(inertia=(1.0, 2.0, 3.0)) -> Callable[[Point], np.ndarray]:
     """omega(y) = y / inertia componentwise: the free rigid body on the
-    momentum sphere, as an array-valued field."""
+    momentum sphere, as an array-valued field.  The inertia must be three
+    finite positive moments; anything else raises ValueError."""
+    from numbers import Real
+
     import numpy as np
 
-    inv = 1.0 / np.asarray(inertia, dtype=float)
+    moments = tuple(inertia) if _shape(inertia) == (3,) else ()
+    if not moments or not all(isinstance(m, Real) and 0 < m < math.inf for m in moments):
+        raise ValueError(f"inertia must be three finite positive moments, got {inertia!r}")
+    inv = 1.0 / np.array(moments, dtype=float)
 
     def omega(y) -> np.ndarray:
         return inv * y

@@ -13,15 +13,9 @@ import numpy as np
 
 from liebutcher.lbseries import Defect, FieldSeries, field_generator, is_inf_character
 from liebutcher.matrixpostlie import commutator, mat_triangleright, project_minus
-from liebutcher.postlie import (
-    GraftExtension,
-    bracket,
-    dbracket,
-    graft_attachments,
-    postlie_identities,
-)
+from liebutcher.postlie import GraftExtension, bracket, dbracket, postlie_identities
 from liebutcher.series import Series, concat, deshuffle, deshuffle_forest, min_trunc, shuffle
-from liebutcher.sphere import ConvergenceError, norm_defect, rot_exp
+from liebutcher.sphere import ConvergenceError, norm_defect
 from liebutcher.trees import (
     EMPTY_FOREST,
     LEAF,
@@ -122,6 +116,18 @@ def recursive_shuffle_basis(u: Forest, v: Forest) -> tuple[tuple[Forest, int], .
         key = Forest(v.trees[:1] + w.trees)
         acc[key] = acc.get(key, 0) + m
     return tuple(acc.items())
+
+
+@lru_cache(maxsize=None)
+def graft_attachments(t1: Tree, t2: Tree) -> tuple[Tree, ...]:
+    """Tree-grafting oracle, one recursion per level of t2: t1 attached at
+    the root of t2 (as its new leftmost branch), then at each node of each
+    child in turn, so one tree per node of t2, in preorder, repeats kept."""
+    out = [Tree((t1,) + t2.children)]
+    for i, child in enumerate(t2.children):
+        for sub in graft_attachments(t1, child):
+            out.append(Tree(t2.children[:i] + (sub,) + t2.children[i + 1 :]))
+    return tuple(out)
 
 
 class PeelGraftExtension(GraftExtension):
@@ -381,6 +387,27 @@ def iterated_lie_midpoint_field(n: int) -> Series:
             flow = flow + power
         k = fraction_bilinear(flow, hgen, graft)
     return k
+
+
+def hat(w) -> np.ndarray:
+    """Skew matrix with hat(w) v = w x v."""
+    x, y, z = np.asarray(w, dtype=float)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def rot_exp(w) -> np.ndarray:
+    """Rotation oracle in closed form: I + a K + b K^2 with K = hat(w) and,
+    at the angle t = |w|, a = sin(t)/t and b = (1 - cos(t))/t^2, each
+    replaced by its Taylor series below t = 1e-6, where it would cancel."""
+    x, y, z = np.asarray(w, dtype=float).tolist()
+    t = math.sqrt(x * x + y * y + z * z)
+    t2 = t * t
+    if t < 1e-6:
+        a, b = 1.0 - t2 / 6.0 + t2 * t2 / 120.0, 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+    else:
+        a, b = math.sin(t) / t, (1.0 - math.cos(t)) / t2
+    k = hat(w)
+    return np.eye(3) + a * k + b * (k @ k)
 
 
 def matrix_step_lie_euler(field, y0, h):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from helpers import PeelGraftExtension, S, T, deep_tree
 from liebutcher.postlie import (
     GraftExtension,
@@ -16,6 +17,7 @@ from liebutcher.postlie import (
     forget_planarity,
     gl_product,
     graft,
+    graft_attachments,
     symmetrized_associator_defect,
     triangleright,
 )
@@ -63,6 +65,36 @@ class TestGraft:
             for t2 in trees_up_to(3):
                 for f in graft(t1, t2).terms:
                     assert f.degree == t1.degree + t2.degree
+
+    def test_attachments_match_the_recursion(self, monkeypatch):
+        # equal tuples, order and repeats included, on every pair of trees
+        # of total degree <= 10
+        monkeypatch.setenv("LIEBUTCHER_DEGREE_CAP", "10")
+        trees = trees_up_to(9)
+        pairs = 0
+        for t1 in trees:
+            for t2 in trees:
+                if t1.degree + t2.degree <= 10:
+                    assert graft_attachments(t1, t2) == helpers.graft_attachments(t1, t2)
+                    pairs += 1
+        assert pairs == 6917
+
+    @pytest.mark.parametrize("shape", ["chain", "branching"])
+    def test_attachments_on_a_deep_tree(self, shape):
+        # the recursion limit at the current depth plus one frame per level
+        # and 30 for the call: attachments that recursed through every level
+        # of t2 next to the placement loop would overflow here
+        t = T(deep_tree(shape))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + MAX_DEPTH + 30)
+        try:
+            got = graft_attachments(LEAF, t)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(got) == t.degree and got[0] == Tree((LEAF,) + t.children)
 
 
 class TestTriangleright:

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from helpers import MATRIX_STEPPERS, matrix_integrate
+import helpers
+from helpers import MATRIX_STEPPERS, hat, matrix_integrate
 from liebutcher.cli import _rigid_body
 from liebutcher.sphere import (
     STEPPERS,
@@ -12,7 +13,6 @@ from liebutcher.sphere import (
     _rotate,
     _slope,
     convergence_study,
-    hat,
     integrate,
     norm_defect,
     rigid_body_field,
@@ -85,6 +85,17 @@ class TestRotExp:
         w = np.array([1e-8, -2e-8, 3e-9])
         assert np.abs(rot_exp(w) - (np.eye(3) + hat(w))).max() <= 1e-15
 
+    def test_columns_are_the_rotated_unit_vectors(self):
+        # each column is _rotate of a unit vector, bit for bit, and the
+        # matrix is within 1e-15 of the closed form
+        rng = random.Random(5)
+        units = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+        for _ in range(2000):
+            w = _random_unit(rng, 10 ** rng.uniform(-9.0, 3.0))
+            r = rot_exp(np.array(w))
+            assert [tuple(c) for c in r.T.tolist()] == [_rotate(w, e) for e in units]
+            assert np.abs(r - helpers.rot_exp(w)).max() <= 1e-15
+
 
 class TestSteps:
     def test_zero_field_fixes_point(self):
@@ -102,7 +113,7 @@ class TestSteps:
         c = np.array([0.3, -0.2, 0.5])
         field = lambda y: c
         got = step_lie_midpoint(field, Y0, 0.1, maxit=2)
-        assert np.allclose(got, rot_exp(0.1 * c) @ Y0, atol=1e-15)
+        assert np.allclose(got, helpers.rot_exp(0.1 * c) @ Y0, atol=1e-15)
 
     def test_midpoint_converges_quickly(self):
         # contraction for a small step: well under the default iteration cap
@@ -125,6 +136,15 @@ class TestSteps:
                 norm_defect(y) for _, y in trajectory(FIELD, Y0, 0.02, 500, method)
             )
             assert worst <= 1e-12
+
+
+class TestRigidBodyField:
+    @pytest.mark.parametrize(
+        "inertia", [(1, 0, 3), (1, 2, math.nan), (1, 2), (1, 2, 3, 4), (1, -2, 3), "abc"]
+    )
+    def test_bad_inertia_is_refused_when_the_field_is_built(self, inertia):
+        with pytest.raises(ValueError, match="inertia must be three finite positive moments"):
+            rigid_body_field(inertia)
 
 
 class TestTrajectory:
@@ -292,6 +312,15 @@ def _random_unit(rng, scale=1.0):
 class TestMatrixOracle:
     """The float steps against the matrix forms they replace."""
 
+    def test_the_oracles_are_the_helpers_own(self):
+        from liebutcher import postlie, sphere
+
+        for name, layer in [("graft_attachments", postlie), ("hat", sphere), ("rot_exp", sphere)]:
+            oracle = getattr(helpers, name)
+            assert oracle.__module__ == "helpers"
+            assert oracle is not getattr(layer, name, None)
+        assert "hat" not in sphere.__all__ and not hasattr(sphere, "hat")
+
     def test_rotation_matches_the_matrix_form(self):
         rng = random.Random(3)
         small = 0
@@ -300,7 +329,7 @@ class TestMatrixOracle:
             small += theta < 1e-6
             w, v = _random_unit(rng, theta), _random_unit(rng)
             got = _rotate(w, v)
-            want = rot_exp(w) @ np.array(v)
+            want = helpers.rot_exp(w) @ np.array(v)
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
         assert small >= 500  # the series branch is exercised
         assert _rotate((0.0, 0.0, 0.0), (0.6, 0.0, 0.8)) == (0.6, 0.0, 0.8)
