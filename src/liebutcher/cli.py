@@ -155,20 +155,13 @@ def _cmd_axioms(args) -> int:
         n = DEFAULT_DEGREE if args.degree is None else args.degree
         check_degree(n)
         report = check_postlie_axioms(n)
-        body = {
-            "check": "postlie-axioms-free",
-            "degree": n,
-            "triples": report.triples,
-            "pass": report.passed,
-            "witness": report.witness,
-        }
         if args.format == "json":
-            _print_json(body)
-        elif report.passed:
-            _print(f"pass: both identities hold on {report.triples} tree triples")
+            _print_json(report)
+        elif report["pass"]:
+            _print(f"pass: both identities hold on {report['triples']} tree triples")
         else:
-            _print(f"FAIL after {report.triples} triples: {report.witness}")
-        return 0 if report.passed else 1
+            _print(f"FAIL after {report['triples']} triples: {report['witness']}")
+        return 0 if report["pass"] else 1
     kind = args.kind
     if kind is None:
         print("error: --kind lu|qr is required with --target matrix", file=sys.stderr)

@@ -31,7 +31,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .postlie import _DEFAULT_EXTENSION, triangleright
-from .series import Series, _concat_basis, _graded, _graded_product, deshuffle_forest
+from .series import Series, _concat_basis, _graded, _graded_product, _immutable, deshuffle_forest
 from .trees import EMPTY_FOREST, LEAF, forest_sort_key
 
 __all__ = [
@@ -127,7 +127,14 @@ def is_character(a: Series) -> bool:
 
 
 class _Checked:
-    """A series that passed its class's constructor check."""
+    """A series that passed its class's constructor check.  Like a Series
+    it is an immutable value, so it stays checked; __reduce__ routes
+    pickle, copy and deepcopy through the checking constructor."""
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return type(self), (self.series,)
 
     @property
     def trunc(self) -> int | None:
@@ -152,7 +159,7 @@ class FieldSeries(_Checked):
             raise ValueError("a field series must have zero constant term")
         if validate and not is_inf_character(series):
             raise ValueError("series does not vanish on shuffles")
-        self.series = series
+        object.__setattr__(self, "series", series)
 
 
 class MethodCharacter(_Checked):
@@ -165,7 +172,7 @@ class MethodCharacter(_Checked):
             raise ValueError("a character must have constant term 1")
         if validate and not is_character(series):
             raise ValueError("series is not multiplicative on shuffles")
-        self.series = series
+        object.__setattr__(self, "series", series)
 
 
 def _as_series(a) -> Series:

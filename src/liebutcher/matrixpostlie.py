@@ -14,8 +14,8 @@ symbolic layer.  eval_F is the one bridge to the symbolic layers; it loads
 on stacks, by an evaluation plan cached per series support: one batched |>
 per level (the trees of one degree), one batched commutator per letter
 position, and a sum in term order, bit-identical to a per-tree recursion.
-The plan's cache entry also keeps the coefficients eval_F last checked as
-a field on that support, so a repeat call on them is not checked again.
+The plan's cache entry also keeps the coefficients last checked as a field
+on that support, so a repeat call on them is not checked again.
 
 Every public function takes one real n x n matrix or a stack of them on the
 last two axes (a complex one is refused, not cut to its real part), and on
@@ -238,13 +238,10 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     commutators and weight 1/k, which reproduces the element.  A
     FieldSeries is taken as already checked.  Any other input is checked as
     one before a plan is laid out for it, unless its coefficients equal the
-    ones this function last checked on the same support: the support's
-    cache entry keeps those Fraction objects (immutable, so a repeat call on
-    them compares by identity) with their float weights.  Only a check run
-    here is recorded, so a FieldSeries whose series changed after it was
-    checked never vouches for a plain Series.  A zero coefficient, which
-    only an edit of terms can store, is no term: the result is that of the
-    series without it.
+    ones last checked on the same support: the support's cache entry keeps
+    those Fraction objects (a repeat call on them compares by identity)
+    with their float weights, whether the check ran here or in a
+    FieldSeries, since neither a Series nor a FieldSeries can change.
 
     The numpy work runs on stacks, laid out by the evaluation plan of the
     series support (_plan, cached per support): one batched |> per level
@@ -269,18 +266,12 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     if checked is not None and checked[0] == coeffs:
         weights = checked[1]
     else:
-        if not all(coeffs):  # a zero stored by an edit of terms is no term
-            terms = {f: c for f, c in terms.items() if c}
-            support, coeffs = tuple(terms), tuple(terms.values())
-            plan = _plan(support)
-        trusted = isinstance(a, FieldSeries)
-        if not trusted:
+        if not isinstance(a, FieldSeries):
             FieldSeries(a)
         if plan.layout is None:
             plan.layout = _layout(support)
         weights = np.array([float(c) for c in coeffs]) / plan.layout[-1]
-        if not trusted:
-            plan.checked = coeffs, weights
+        plan.checked = coeffs, weights
     size, levels, first, letters, order, _ = plan.layout
     minus = _pi_minus(kindv, m0.shape[-1])
     values = np.empty((size,) + m0.shape)
@@ -300,7 +291,7 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
 class _Plan:
     """The _plan cache entry of one series support: its layout (_layout),
     built once a call on the support gets past the field check, and the
-    coefficients eval_F last checked itself on it, with their weights."""
+    coefficients last checked on it, with their weights."""
 
     __slots__ = ("layout", "checked")
 

@@ -29,7 +29,6 @@ re-exported here) empties them with those of the other layers.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -39,7 +38,6 @@ from .series import Series, bilinear, concat, deshuffle_forest
 from .trees import Forest, Tree, enumerate_trees, forest_sort_key
 
 __all__ = [
-    "AxiomReport",
     "GraftExtension",
     "associator",
     "bracket",
@@ -140,32 +138,21 @@ def gl_product(a: Series, b: Series, extension: GraftExtension | None = None) ->
     return bilinear(a, b, ext.gl_basis)
 
 
-AxiomReport = namedtuple("AxiomReport", ["passed", "triples", "witness"], defaults=[None])
-
-
-def _witness(name: str, x: Tree, y: Tree, z: Tree, lhs: Series, rhs: Series) -> dict:
-    return {
-        "axiom": name,
-        "x": x.text,
-        "y": y.text,
-        "z": z.text,
-        "lhs": lhs.to_json()["terms"],
-        "rhs": rhs.to_json()["terms"],
-    }
-
-
-def check_postlie_axioms(max_degree: int, extension: GraftExtension | None = None) -> AxiomReport:
+def check_postlie_axioms(max_degree: int, extension: GraftExtension | None = None) -> dict:
     """Verify postlie_identities for grafting on basis-tree triples.
 
     Covers all trees x, y, z with total degree <= max_degree; stops at the
-    first violation and reports it.
+    first violation.  The report is a dict, as the matrix checks' are: the
+    check, the degree, the triples passed, pass, and the failing identity
+    and triple as witness (None on a pass).
     """
     tr = partial(triangleright, extension=extension)
     trees: list[Tree] = []
     for d in range(1, max_degree - 1):
         trees.extend(enumerate_trees(d))
     singles = {t: Series.of(t) for t in trees}
-    count = 0
+    report = {"check": "postlie-axioms-free", "degree": max_degree, "triples": 0,
+              "pass": True, "witness": None}
     for x in trees:
         for y in trees:
             if x.degree + y.degree + 1 > max_degree:
@@ -176,9 +163,14 @@ def check_postlie_axioms(max_degree: int, extension: GraftExtension | None = Non
                 triple = singles[x], singles[y], singles[z]
                 for name, lhs, rhs in postlie_identities(*triple, tr, bracket):
                     if lhs != rhs:
-                        return AxiomReport(False, count, _witness(name, x, y, z, lhs, rhs))
-                count += 1
-    return AxiomReport(True, count)
+                        report["pass"] = False
+                        report["witness"] = {
+                            "axiom": name, "x": x.text, "y": y.text, "z": z.text,
+                            "lhs": lhs.to_json()["terms"], "rhs": rhs.to_json()["terms"],
+                        }
+                        return report
+                report["triples"] += 1
+    return report
 
 
 def _symmetrize_tree(t: Tree) -> Tree:

@@ -10,11 +10,12 @@ All coefficients are Fractions; floats are rejected to keep identity
 checks exact.  Only the public constructors (Series(...), of, unit,
 from_json) check terms: each coefficient is converted, zeros and forests
 past the truncation are dropped, and equal values share one Fraction.
-Everything else starts from checked terms and trusts them.  Arithmetic
-(+, -, unary -, scalar * and /, truncated, component) copies the entries
-it leaves untouched, drops a zero that an edit of terms stored, and sends
-only the entries it changes through the shared table, in the term order
-of its operands.  The product kernel `bilinear` works on integer
+A Series is an immutable value: terms is a read-only mapping and no
+attribute can be reassigned, so checked terms stay checked and everything
+else starts from them and trusts them.  Arithmetic (+, -, unary -, scalar
+* and /, truncated, component) copies the entries it leaves untouched and
+sends only the entries it changes through the shared table, in the term
+order of its operands.  The product kernel `bilinear` works on integer
 numerators over one common denominator per operand and visits only the
 degree blocks that survive truncation; it reduces each output sum with one
 gcd and stores the shared Fraction directly.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import _memo
 from .trees import (
@@ -89,12 +91,17 @@ def _as_coeff(c) -> Fraction:
 _shared = _memo(maxsize=1 << 12)(Fraction)
 
 
+def _immutable(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} values are immutable")
+
+
 class Series:
     """Finite linear combination of ordered forests with Fraction coefficients.
 
     The constructor checks every term; _unchecked and the arithmetic built
     on it take terms that are already checked, as the module docstring
-    says."""
+    says.  terms is a read-only view of the dict built for it, and
+    __reduce__ routes pickle, copy and deepcopy through the constructor."""
 
     __slots__ = ("terms", "trunc")
 
@@ -107,18 +114,24 @@ class Series:
                 c = _as_coeff(coeff)
                 if c and (trunc is None or forest.degree <= trunc):
                     clean[forest] = _shared(c.numerator, c.denominator)
-        self.terms = clean
-        self.trunc = trunc
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+        object.__setattr__(self, "trunc", trunc)
 
     @classmethod
     def _unchecked(cls, terms: dict[Forest, Fraction], trunc: int | None) -> "Series":
         """A Series that takes terms as they are, checked and copied by
         nothing: the caller guarantees what __init__ would make of them,
-        non-zero _shared coefficients on forests of degree <= trunc."""
+        non-zero _shared coefficients on forests of degree <= trunc, and
+        keeps no other reference to the dict."""
         out = object.__new__(cls)
-        out.terms = terms
-        out.trunc = trunc
+        object.__setattr__(out, "terms", MappingProxyType(terms))
+        object.__setattr__(out, "trunc", trunc)
         return out
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return Series, (dict(self.terms), self.trunc)
 
     @classmethod
     def zero(cls, trunc: int | None = None) -> "Series":
@@ -139,11 +152,10 @@ class Series:
         return self.terms.get(_as_forest(forest), Fraction(0))
 
     def _kept(self, trunc: int | None) -> dict[Forest, Fraction]:
-        """A copy of the non-zero terms of degree <= trunc, in term order.
-        Only an edit of terms can store a zero, and it is dropped here."""
-        if trunc is None or trunc == self.trunc:
-            return {f: c for f, c in self.terms.items() if c}
-        return {f: c for f, c in self.terms.items() if c and f.degree <= trunc}
+        """A copy of the terms of degree <= trunc, in term order."""
+        if trunc == self.trunc:
+            return dict(self.terms)
+        return {f: c for f, c in self.terms.items() if f.degree <= trunc}
 
     def truncated(self, n: int) -> "Series":
         trunc = min_trunc(self.trunc, n)
@@ -153,7 +165,7 @@ class Series:
 
     def component(self, k: int) -> "Series":
         """The degree-k homogeneous part."""
-        terms = {f: c for f, c in self.terms.items() if c and f.degree == k}
+        terms = {f: c for f, c in self.terms.items() if f.degree == k}
         return Series._unchecked(terms, self.trunc)
 
     def max_degree(self) -> int:
@@ -168,7 +180,7 @@ class Series:
         trunc = min_trunc(self.trunc, other.trunc)
         out = self._kept(trunc)
         for f, c in other.terms.items():
-            if not c or trunc is not None and f.degree > trunc:
+            if trunc is not None and f.degree > trunc:
                 continue
             e = out.get(f)
             if e is None:

@@ -106,8 +106,8 @@ def test_criterion_02_postlie_axioms_and_jacobi():
     elapsed = time.perf_counter() - start
     _report(
         2,
-        report.passed and jacobi_ok and elapsed < 30.0,
-        f"axioms on {report.triples} triples, Jacobi on {triples}, {elapsed:.2f}s",
+        report["pass"] and jacobi_ok and elapsed < 30.0,
+        f"axioms on {report['triples']} triples, Jacobi on {triples}, {elapsed:.2f}s",
     )
 
 

@@ -224,10 +224,11 @@ def test_mixed_truncations_drop_the_terms_above(trunc):
     assert F("[[[]]]") not in (a + b).terms
 
 
-@pytest.mark.parametrize("op", ["add", "radd", "sub", "rsub", "mul", "rmul", "neg"])
-def test_a_hand_stored_zero_does_not_survive(op):
+@pytest.mark.parametrize(
+    "op", ["add", "radd", "sub", "rsub", "mul", "rmul", "neg", "truncated", "component", "concat"]
+)
+def test_every_operation_returns_a_read_only_series(op):
     s = S("[]", 2) + S("[[]]", Fraction(1, 3))
-    s.terms[F("[] []")] = Fraction(0)
     t = S("[[]]", Fraction(1, 3)) + S("[[] []]", 5)
     got = {
         "add": lambda: s + t,
@@ -237,7 +238,14 @@ def test_a_hand_stored_zero_does_not_survive(op):
         "mul": lambda: s * Fraction(3, 4),
         "rmul": lambda: 3 * s,
         "neg": lambda: -s,
+        "truncated": lambda: s.truncated(1),
+        "component": lambda: t.component(2),
+        "concat": lambda: concat(s, t),
     }[op]()
+    with pytest.raises(TypeError):
+        got.terms[F("[] []")] = Fraction(0)
+    with pytest.raises(AttributeError):
+        got.trunc = 1
     assert F("[] []") not in got.terms
     assert_stored(got)
 

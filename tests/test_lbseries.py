@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -134,6 +136,36 @@ class TestWrappers:
     def test_wrappers_refuse_a_non_series(self, cls, bad, name):
         with pytest.raises(TypeError, match=f"expected a Series.*got {name}$"):
             cls(bad)
+
+    @pytest.mark.parametrize("build", [lambda: magnus_chi(field_generator(3), 3),
+                                       lambda: exp_concat(field_generator(3), 3)],
+                             ids=["FieldSeries", "MethodCharacter"])
+    @pytest.mark.parametrize("name", ["series", "trunc", "other"])
+    def test_a_checked_series_stays_checked(self, build, name):
+        checked = build()
+        cls = type(checked).__name__
+        with pytest.raises(AttributeError, match=f"{cls} values are immutable"):
+            setattr(checked, name, Series.of("[] []"))
+        with pytest.raises(AttributeError, match=f"{cls} values are immutable"):
+            delattr(checked, name)
+        assert checked == build()
+
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("cls", [FieldSeries, MethodCharacter])
+    def test_round_trips_keep_the_value(self, how, cls):
+        round_trip = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+                      "copy": copy.copy, "deepcopy": copy.deepcopy}[how]
+        checked = (magnus_chi if cls is FieldSeries else exp_concat)(field_generator(4), 4)
+        got = round_trip(checked)
+        assert type(got) is cls and got == checked
+        assert list(got.series.terms) == list(checked.series.terms)
+
+    @pytest.mark.parametrize("cls", [FieldSeries, MethodCharacter])
+    def test_unpickling_runs_the_check(self, cls):
+        bad = Series.of("[] []") + (UNIT if cls is MethodCharacter else Series.zero())
+        data = pickle.dumps(cls(bad, validate=False))
+        with pytest.raises(ValueError, match="shuffles"):
+            pickle.loads(data)
 
 
 def _assert_predicates_match_oracle(s):

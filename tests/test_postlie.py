@@ -316,14 +316,13 @@ class TestGrossmanLarson:
 class TestAxiomChecker:
     def test_passes_small_degrees(self):
         report = check_postlie_axioms(3)
-        assert report.passed
-        assert report.triples == 1
-        assert report.witness is None
+        assert report == {"check": "postlie-axioms-free", "degree": 3, "triples": 1,
+                          "pass": True, "witness": None}
 
     def test_passes_degree_five(self):
         report = check_postlie_axioms(5)
-        assert report.passed
-        assert report.triples == 13
+        assert report["pass"] is True
+        assert report["triples"] == 13
 
     def test_obeys_the_degree_cap(self, monkeypatch):
         # degree 8 enumerates trees up to degree 6
@@ -333,10 +332,11 @@ class TestAxiomChecker:
 
     def test_broken_extension_fails_with_witness(self):
         report = check_postlie_axioms(4, extension=_BrokenLeibniz())
-        assert not report.passed
-        assert report.witness is not None
-        assert report.witness["axiom"] in ("bracket_rule", "associator_rule")
-        assert report.witness["lhs"] != report.witness["rhs"]
+        assert report["pass"] is False and report["degree"] == 4
+        witness = report["witness"]
+        assert list(witness) == ["axiom", "x", "y", "z", "lhs", "rhs"]
+        assert witness["axiom"] in ("bracket_rule", "associator_rule")
+        assert witness["lhs"] != witness["rhs"]
 
 
 class _BrokenLeibniz(GraftExtension):
@@ -400,7 +400,8 @@ class TestPreLieDegeneration:
 class TestWitnessShape:
     def test_report_fields(self):
         report = check_postlie_axioms(4)
-        assert report.passed and isinstance(report.triples, int)
+        assert list(report) == ["check", "degree", "triples", "pass", "witness"]
+        assert report["pass"] is True and isinstance(report["triples"], int)
 
 
 class TestClearCaches:

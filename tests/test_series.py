@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import signal
 import sys
 from fractions import Fraction
@@ -60,6 +62,52 @@ class TestConstruction:
             Series.of("[]", 0.5)
         with pytest.raises(TypeError):
             S("[]") * 0.5
+
+
+ROUND_TRIPS = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestImmutableValue:
+    def series(self):
+        return Series({F("[[]] []"): Fraction(1, 2), F("[]"): 3, F("[[[]]]"): -1}, 4)
+
+    @pytest.mark.parametrize("edit", ["set", "add", "delete", "iadd"])
+    def test_terms_refuse_edits(self, edit):
+        s = self.series()
+        before = dict(s.terms)
+        with pytest.raises(TypeError):
+            if edit == "set":
+                s.terms[F("[]")] = Fraction(0)
+            elif edit == "add":
+                s.terms[F("[] []")] = Fraction(1, 5)
+            elif edit == "delete":
+                del s.terms[F("[]")]
+            else:
+                s.terms[F("[]")] += 1
+        assert s.terms == before and list(s.terms) == list(before)
+
+    @pytest.mark.parametrize("name", ["terms", "trunc", "other"])
+    def test_attributes_cannot_be_set_or_deleted(self, name):
+        s = self.series()
+        with pytest.raises(AttributeError, match="Series values are immutable"):
+            setattr(s, name, {} if name == "terms" else 2)
+        with pytest.raises(AttributeError, match="Series values are immutable"):
+            delattr(s, name)
+        assert s == self.series()
+
+    @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+    @pytest.mark.parametrize("trunc", [None, 4, 0])
+    def test_round_trips_keep_the_value(self, how, trunc):
+        s = Series(self.series().terms, trunc)
+        got = ROUND_TRIPS[how](s)
+        assert type(got) is Series and got == s and got.trunc == s.trunc
+        assert list(got.terms) == list(s.terms)
+        with pytest.raises(TypeError):
+            got.terms[F("[]")] = Fraction(1)
 
 
 class TestVectorSpace:
