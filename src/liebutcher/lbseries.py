@@ -127,14 +127,11 @@ def is_character(a: Series) -> bool:
 
 
 class _Checked:
-    """A series that passed its class's constructor check.  Like a Series
-    it is an immutable value, so it stays checked; __reduce__ routes
-    pickle, copy and deepcopy through the checking constructor."""
+    """A series wrapped with its class's constructor check (validate=False
+    skips it, for a series known to pass).  Like a Series it is an
+    immutable value, so a series that passed the check stays checked."""
 
     __setattr__ = __delattr__ = _immutable
-
-    def __reduce__(self):
-        return type(self), (self.series,)
 
     @property
     def trunc(self) -> int | None:
@@ -151,7 +148,8 @@ class FieldSeries(_Checked):
     """A vector-field series: zero constant term, vanishing on shuffles.
 
     Given a checked series (a MethodCharacter or FieldSeries), it checks
-    the series inside; anything else but a Series is a TypeError."""
+    the series inside; anything else but a Series is a TypeError.
+    _validated says whether the shuffle check ran, for eval_F to record."""
 
     def __init__(self, series: Series, validate: bool = True):
         series = _as_series(series)
@@ -160,6 +158,7 @@ class FieldSeries(_Checked):
         if validate and not is_inf_character(series):
             raise ValueError("series does not vanish on shuffles")
         object.__setattr__(self, "series", series)
+        object.__setattr__(self, "_validated", validate)
 
 
 class MethodCharacter(_Checked):

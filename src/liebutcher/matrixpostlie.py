@@ -241,7 +241,8 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     ones last checked on the same support: the support's cache entry keeps
     those Fraction objects (a repeat call on them compares by identity)
     with their float weights, whether the check ran here or in a
-    FieldSeries, since neither a Series nor a FieldSeries can change.
+    FieldSeries, since neither a Series nor a FieldSeries can change.  A
+    FieldSeries built with validate=False ran no check, so it records none.
 
     The numpy work runs on stacks, laid out by the evaluation plan of the
     series support (_plan, cached per support): one batched |> per level
@@ -267,11 +268,12 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
         weights = checked[1]
     else:
         if not isinstance(a, FieldSeries):
-            FieldSeries(a)
+            a = FieldSeries(a)
         if plan.layout is None:
             plan.layout = _layout(support)
         weights = np.array([float(c) for c in coeffs]) / plan.layout[-1]
-        plan.checked = coeffs, weights
+        if a._validated:
+            plan.checked = coeffs, weights
     size, levels, first, letters, order, _ = plan.layout
     minus = _pi_minus(kindv, m0.shape[-1])
     values = np.empty((size,) + m0.shape)

@@ -160,13 +160,6 @@ class TestWrappers:
         assert type(got) is cls and got == checked
         assert list(got.series.terms) == list(checked.series.terms)
 
-    @pytest.mark.parametrize("cls", [FieldSeries, MethodCharacter])
-    def test_unpickling_runs_the_check(self, cls):
-        bad = Series.of("[] []") + (UNIT if cls is MethodCharacter else Series.zero())
-        data = pickle.dumps(cls(bad, validate=False))
-        with pytest.raises(ValueError, match="shuffles"):
-            pickle.loads(data)
-
 
 def _assert_predicates_match_oracle(s):
     assert is_inf_character(s) == brute_force_is_inf_character(s), s

@@ -421,6 +421,26 @@ class TestEvalF:
             FieldSeries(chi).series = Series.of("[] []")
         assert np.array_equal(eval_F("lu", self.m0, chi), first)
 
+    def test_a_changed_coefficient_on_a_checked_support_is_checked(self):
+        chi = fresh_chi(4)
+        eval_F("lu", self.m0, chi)
+        word = F("[] [[]]")  # its mirror [[]] [] carries the opposite weight
+        changed = Series({**chi.terms, word: chi.terms[word] + 1}, chi.trunc)
+        with pytest.raises(ValueError, match="series does not vanish on shuffles"):
+            eval_F("lu", self.m0, changed)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_unvalidated_field_series_vouches_for_no_series(self, kind, field_checks):
+        chi = fresh_chi(4)
+        word = F("[] [[]]")
+        bad = Series({**chi.terms, word: chi.terms[word] + 1}, chi.trunc)
+        eval_F(kind, self.m0, FieldSeries(bad, validate=False))  # taken as checked
+        assert not field_checks
+        for plain in (bad, Series(bad.terms, bad.trunc)):
+            with pytest.raises(ValueError, match="series does not vanish on shuffles"):
+                eval_F(kind, self.m0, plain)
+        assert len(field_checks) == 2
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_field_series_check_is_kept_for_the_plain_series(self, kind, field_checks):
         chi = fresh_chi(4)

@@ -18,6 +18,7 @@ from helpers import (
     shuffle_oracle,
     subset_deshuffle_forest,
 )
+from liebutcher.lbseries import field_generator, magnus_chi
 from liebutcher.series import (
     Series,
     TruncationError,
@@ -108,6 +109,14 @@ class TestImmutableValue:
         assert list(got.terms) == list(s.terms)
         with pytest.raises(TypeError):
             got.terms[F("[]")] = Fraction(1)
+
+    @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+    def test_a_degree_8_series_is_read_only_and_round_trips(self, how):
+        s = magnus_chi(field_generator(8), 8).series
+        with pytest.raises(TypeError):
+            s.terms[next(iter(s.terms))] = Fraction(0)
+        got = ROUND_TRIPS[how](s)
+        assert len(got.terms) == 1917 and got == s and list(got.terms) == list(s.terms)
 
 
 class TestVectorSpace:
