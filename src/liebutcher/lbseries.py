@@ -19,6 +19,14 @@ series.deshuffle_forest, which is built letter by letter.  A field needs
 every sum to be 0, a character needs a_u a_v; no logarithm is taken.  Both
 exponentials and the logarithm share one power-series loop, which grades
 its operand for the kernel once, not once per power.
+Each series is checked once, where it enters.  The exponentials and chi
+check their argument, truncated at n, as a field, and the logarithm checks
+its argument as a character; none checks its result, since at every
+truncation exp and log are inverse bijections between fields and
+characters.  The wrapper they return vouches for its series (_validated),
+so the next call takes it as checked; validate=False skips the argument's
+check and vouches for nothing.  The method characters, the exact flow and
+the midpoint stage are built from h[] and run no predicate.
 The midpoint stage is a graded fixed point: round r solves at truncation r
 only, so the rounds cost the sum of their own truncations' costs; every
 product runs through the graded integer kernel series.bilinear.
@@ -127,11 +135,31 @@ def is_character(a: Series) -> bool:
 
 
 class _Checked:
-    """A series wrapped with its class's constructor check (validate=False
-    skips it, for a series known to pass).  Like a Series it is an
-    immutable value, so a series that passed the check stays checked."""
+    """A series wrapped with its class's constructor check.  Like a Series
+    it is an immutable value, so a series that passed the check stays
+    checked.
+
+    _validated says whether the wrapper vouches for its series: the check
+    ran, here or on the argument it was built from, or the algebra built
+    the series from h[] alone.  validate=False skips the check and vouches
+    for nothing.  The exponentials, the logarithm, chi and the constructors
+    take a vouched wrapper as checked; eval_F records only vouched fields."""
 
     __setattr__ = __delattr__ = _immutable
+
+    def _hold(self, series: Series, vouched: bool) -> None:
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "_validated", vouched)
+
+    @classmethod
+    def _built(cls, series: Series, vouched: bool):
+        """A wrapper on a series the algebra built, which runs no check: at
+        every truncation exp and log are inverse bijections between fields
+        and characters (the deshuffle coproduct makes both products Hopf
+        algebras), so checking the argument checks the result."""
+        out = object.__new__(cls)
+        out._hold(series, vouched)
+        return out
 
     @property
     def trunc(self) -> int | None:
@@ -144,34 +172,43 @@ class _Checked:
         return f"{type(self).__name__}({self.series!r})"
 
 
+def _vouched(a) -> bool:
+    return isinstance(a, _Checked) and a._validated
+
+
 class FieldSeries(_Checked):
     """A vector-field series: zero constant term, vanishing on shuffles.
 
-    Given a checked series (a MethodCharacter or FieldSeries), it checks
-    the series inside; anything else but a Series is a TypeError.
-    _validated says whether the shuffle check ran, for eval_F to record."""
+    The constant term is always checked; the shuffle check runs once, here,
+    unless validate is False or the argument is a wrapper that vouches for
+    its series (_validated, see _Checked).  The result vouches iff validate
+    is True.  A checked series (a MethodCharacter or FieldSeries) is
+    unwrapped; anything else but a Series is a TypeError.  magnus_chi,
+    log_gl and lie_midpoint_field return one that runs no check: they
+    checked their argument or built it from h[]."""
 
     def __init__(self, series: Series, validate: bool = True):
-        series = _as_series(series)
-        if series.coeff(EMPTY_FOREST) != 0:
+        s = _as_series(series)
+        if s.coeff(EMPTY_FOREST) != 0:
             raise ValueError("a field series must have zero constant term")
-        if validate and not is_inf_character(series):
+        if validate and not _vouched(series) and not is_inf_character(s):
             raise ValueError("series does not vanish on shuffles")
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "_validated", validate)
+        self._hold(s, validate)
 
 
 class MethodCharacter(_Checked):
     """A flow series: constant term 1, multiplicative on shuffles; takes
-    its series as FieldSeries does."""
+    its series and checks it as FieldSeries does.  The exponentials and the
+    method characters return one that runs no check: they checked their
+    argument as a field or built it from h[]."""
 
     def __init__(self, series: Series, validate: bool = True):
-        series = _as_series(series)
-        if series.coeff(EMPTY_FOREST) != 1:
+        s = _as_series(series)
+        if s.coeff(EMPTY_FOREST) != 1:
             raise ValueError("a character must have constant term 1")
-        if validate and not is_character(series):
+        if validate and not _vouched(series) and not is_character(s):
             raise ValueError("series is not multiplicative on shuffles")
-        object.__setattr__(self, "series", series)
+        self._hold(s, validate)
 
 
 def _as_series(a) -> Series:
@@ -200,36 +237,51 @@ def _power_series(x: Series, n: int, basis, weight) -> Series:
     return out
 
 
-def _series_exp(a: Series, n: int, basis) -> Series:
-    if a.coeff(EMPTY_FOREST) != 0:
+def _series_exp(a, n: int, basis, validate: bool) -> Series:
+    """The exponential of a under the product on basis, truncated at n.
+
+    a's constant term must be 0 and, unless validate is False or a is
+    vouched for, a truncated at n must vanish on shuffles, which holds iff
+    its exponential is a character (see _Checked._built)."""
+    s = _as_series(a)
+    if s.coeff(EMPTY_FOREST) != 0:
         raise ValueError("exponential requires a zero constant term")
-    return Series.unit(n) + _power_series(
-        a.truncated(n), n, basis, lambda k: Fraction(1, math.factorial(k))
+    s = s.truncated(n)
+    if validate and not _vouched(a) and not is_inf_character(s):
+        raise ValueError("series does not vanish on shuffles")
+    return Series.unit(n) + _power_series(s, n, basis, lambda k: Fraction(1, math.factorial(k)))
+
+
+def _series_log(s: Series) -> Series:
+    n = _bound(s)
+    x = (s - Series.unit(s.trunc)).truncated(n)
+    return _power_series(
+        x, n, _DEFAULT_EXTENSION.gl_basis, lambda k: Fraction((-1) ** (k + 1), k)
     )
 
 
 def exp_concat(a, n: int, validate: bool = True) -> MethodCharacter:
     """Concatenation exponential, truncated at degree n (frozen-field flow)."""
-    return MethodCharacter(_series_exp(_as_series(a), n, _concat_basis), validate=validate)
+    return MethodCharacter._built(_series_exp(a, n, _concat_basis, validate), validate)
 
 
 def exp_gl(a, n: int, validate: bool = True) -> MethodCharacter:
     """Grossman-Larson exponential, truncated at degree n (exact flow)."""
-    series = _series_exp(_as_series(a), n, _DEFAULT_EXTENSION.gl_basis)
-    return MethodCharacter(series, validate=validate)
+    series = _series_exp(a, n, _DEFAULT_EXTENSION.gl_basis, validate)
+    return MethodCharacter._built(series, validate)
 
 
 def log_gl(c, validate: bool = True) -> FieldSeries:
-    """Grossman-Larson logarithm; inverse of exp_gl up to the truncation."""
+    """Grossman-Larson logarithm; inverse of exp_gl up to the truncation.
+
+    c is checked as a character, which holds iff its logarithm vanishes on
+    shuffles; the message names the logarithm."""
     s = _as_series(c)
     if s.coeff(EMPTY_FOREST) != 1:
         raise ValueError("logarithm requires constant term 1")
-    n = _bound(s)
-    x = (s - Series.unit(s.trunc)).truncated(n)
-    log = _power_series(
-        x, n, _DEFAULT_EXTENSION.gl_basis, lambda k: Fraction((-1) ** (k + 1), k)
-    )
-    return FieldSeries(log, validate=validate)
+    if validate and not _vouched(c) and not is_character(s):
+        raise ValueError("series does not vanish on shuffles")
+    return FieldSeries._built(_series_log(s), validate)
 
 
 def magnus_chi(a, n: int, validate: bool = True) -> FieldSeries:
@@ -239,12 +291,17 @@ def magnus_chi(a, n: int, validate: bool = True) -> FieldSeries:
     through degree m, which is the backward-error reading of the frozen
     Euler flow.
     """
-    return log_gl(exp_concat(a, n, validate=False), validate=validate)
+    return FieldSeries._built(_series_log(_series_exp(a, n, _concat_basis, validate)), validate)
+
+
+def _generating_field(n: int) -> FieldSeries:
+    """h[] as a vouched field: a single tree vanishes on every shuffle."""
+    return FieldSeries._built(field_generator(n), True)
 
 
 def lie_euler_character(n: int) -> MethodCharacter:
     """Series of the method stepping along the frozen exponential flow."""
-    return exp_concat(field_generator(n), n)
+    return exp_concat(_generating_field(n), n)
 
 
 def lie_midpoint_field(n: int) -> FieldSeries:
@@ -261,7 +318,7 @@ def lie_midpoint_field(n: int) -> FieldSeries:
     for r in range(1, n + 1):
         lifted = Series(k.terms, r) * half
         k = triangleright(exp_concat(lifted, r, validate=False).series, hgen)
-    return FieldSeries(k)
+    return FieldSeries._built(k, True)
 
 
 def lie_midpoint_character(n: int) -> MethodCharacter:
@@ -278,7 +335,7 @@ METHOD_CHARACTERS = {
 
 def exact_flow_character(n: int) -> MethodCharacter:
     """exp_gl of the generating field: the benchmark exact-flow series."""
-    return exp_gl(field_generator(n), n)
+    return exp_gl(_generating_field(n), n)
 
 
 def first_defect(a, b) -> Defect | None:

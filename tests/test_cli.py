@@ -212,6 +212,10 @@ class TestExpAndMagnus:
             "1/2\t[] []",
         ]
 
+    def test_exp_refuses_a_non_field_argument(self, capsys):
+        code, out, err = run(capsys, "exp", "--kind", "gl", "--degree", "4", "[] []")
+        assert (code, out, err) == (1, "", "error: series does not vanish on shuffles\n")
+
     def test_magnus_json_contains_paper_coefficient(self, capsys):
         code, out, _ = run(capsys, "magnus", "--degree", "3", "--format", "json")
         assert code == 0

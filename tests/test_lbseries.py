@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 import time
@@ -528,6 +529,154 @@ class TestIntegratorCharacters:
     @pytest.mark.parametrize("n", range(9))
     def test_exact_flow_matches_the_gl_free_recursion(self, n):
         assert exact_flow_character(n).series == gl_free_exact_flow(n)
+
+
+def _bernoulli(m):
+    """B_0..B_m from sum_{j<=k} C(k+1, j) B_j = 0 for k >= 1, so B_1 = -1/2."""
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
+
+
+def _chain(k):
+    return F("[" * k + "]" * k)
+
+
+def _corolla(k):
+    return F("[" + " ".join(["[]"] * (k - 1)) + "]")
+
+
+class TestClosedForms:
+    """Coefficients known without any product code (Magnus, CPAM 7, 1954;
+    Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999): on corollas
+    chi(h[]) is the Magnus series x/(e^x - 1), on chains the logarithm
+    log(1 + x), and it vanishes on the words []^k, k >= 2; the exact flow
+    is e^x on both chains and corollas."""
+
+    N = 8
+
+    def test_chi(self):
+        chi = magnus_chi(field_generator(self.N), self.N).series
+        bernoulli = _bernoulli(self.N)
+        for k in range(1, self.N + 1):
+            assert chi.coeff(_corolla(k)) == bernoulli[k - 1] / math.factorial(k - 1), k
+            assert chi.coeff(_chain(k)) == Fraction((-1) ** (k + 1), k), k
+            if k >= 2:
+                assert chi.coeff(F(" ".join(["[]"] * k))) == 0, k
+
+    def test_exact_flow(self):
+        flow = exact_flow_character(self.N).series
+        for k in range(1, self.N + 1):
+            want = Fraction(1, math.factorial(k))
+            assert flow.coeff(_chain(k)) == flow.coeff(_corolla(k)) == want, k
+
+
+def _refuses(call, *args):
+    """Whether call(*args) raises ValueError."""
+    try:
+        call(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def _verdict_inputs():
+    """Seeded fields, copies perturbed on one two-letter word, and a series
+    that is a field up to n only, each with the degree n to exponentiate at."""
+    rng = random.Random(29)
+    n = 5
+    words = [f for d in range(2, n + 1) for f in enumerate_forests(d) if len(f) == 2]
+    fields = [random_lie_series(rng, n) for _ in range(4)] + [field_generator(n)]
+    out = []
+    for i, a in enumerate(fields):
+        perturbed = a + Series.of(rng.choice(words), Fraction(rng.randint(1, 5), 7), n)
+        out += [pytest.param(a, n, id=f"field{i}"), pytest.param(perturbed, n, id=f"perturbed{i}")]
+    # its only word past the field's terms has degree n + 1
+    beyond = Series(fields[0].terms) + S("[[]] [[[[]]]]", Fraction(2, 3))
+    return out + [pytest.param(beyond, n, id="field-up-to-n"),
+                  pytest.param(beyond, n + 1, id="non-field-at-n+1")]
+
+
+class TestVerdicts:
+    """Each call checks its argument, not its result, and raises exactly
+    when the predicate refuses the result the unchecked call builds: at
+    every truncation exp and log are inverse bijections between fields and
+    characters."""
+
+    @pytest.mark.parametrize("a, n", _verdict_inputs())
+    def test_argument_check_matches_the_result_check(self, a, n):
+        verdicts, word = [], F("[] [[]]")
+        for exp in (exp_concat, exp_gl):
+            char = exp(a, n, validate=False).series
+            refused = not is_character(char)
+            assert _refuses(exp, a, n) is refused
+            verdicts.append(refused)
+            if refused:
+                with pytest.raises(ValueError, match="^series does not vanish on shuffles$"):
+                    exp(a, n)
+            for c in (char, char + Series.of(word, Fraction(1, 5), n)):
+                log_refused = not is_inf_character(log_gl(c, validate=False).series)
+                assert _refuses(log_gl, c) is log_refused
+        chi = magnus_chi(a, n, validate=False).series
+        assert _refuses(magnus_chi, a, n) is (not is_inf_character(chi)) is verdicts[0]
+        assert verdicts == [verdicts[0]] * 2
+
+    def test_inputs_hold_both_verdicts(self):
+        verdicts = {_refuses(exp_gl, *p.values) for p in _verdict_inputs()}
+        assert verdicts == {True, False}
+
+
+class TestVouching:
+    """_validated: a wrapper vouches for its series when its check ran, or
+    when the algebra built it from checked series; validate=False vouches
+    for nothing."""
+
+    BAD = field_generator(4) + S("[] [[]]", 1, 4)
+
+    @pytest.mark.parametrize("call", [lambda a: exp_concat(a, 4), lambda a: exp_gl(a, 4),
+                                      lambda a: magnus_chi(a, 4), FieldSeries],
+                             ids=["exp_concat", "exp_gl", "magnus_chi", "FieldSeries"])
+    def test_an_unvalidated_field_is_checked(self, call):
+        with pytest.raises(ValueError, match="series does not vanish on shuffles"):
+            call(FieldSeries(self.BAD, validate=False))
+
+    def test_an_unvalidated_character_is_checked(self):
+        bad = MethodCharacter(exp_gl(self.BAD, 4, validate=False), validate=False)
+        with pytest.raises(ValueError, match="series does not vanish on shuffles"):
+            log_gl(bad)
+        with pytest.raises(ValueError, match="series is not multiplicative on shuffles"):
+            MethodCharacter(bad)
+
+    def test_validate_false_vouches_for_nothing(self):
+        gen = field_generator(4)
+        built = [exp_concat(gen, 4, validate=False), exp_gl(gen, 4, validate=False),
+                 magnus_chi(gen, 4, validate=False), log_gl(exp_gl(gen, 4), validate=False),
+                 FieldSeries(gen, validate=False),
+                 MethodCharacter(exp_gl(gen, 4), validate=False)]
+        assert not any(w._validated for w in built)
+
+    @pytest.mark.parametrize("n", [0, 3, 6])
+    def test_vouched_series_run_no_predicate(self, n, monkeypatch):
+        def refuse(a):
+            raise AssertionError("a vouched series was checked again")
+
+        monkeypatch.setattr(lbseries, "is_character", refuse)
+        monkeypatch.setattr(lbseries, "is_inf_character", refuse)
+        field = lie_midpoint_field(n)
+        chi = magnus_chi(field, n)
+        built = [field, chi, exp_concat(chi, n), log_gl(exp_gl(chi, n)), FieldSeries(chi),
+                 MethodCharacter(exp_gl(field, n)), lie_euler_character(n),
+                 lie_midpoint_character(n), exact_flow_character(n)]
+        assert all(w._validated for w in built)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_built_series_pass_the_predicates(self, n):
+        for char in (*(method(n) for method in METHOD_CHARACTERS.values()),
+                     exact_flow_character(n)):
+            assert char._validated and is_character(char.series)
+        for field in (lie_midpoint_field(n), magnus_chi(field_generator(n), n)):
+            assert field._validated and is_inf_character(field.series)
 
 
 def backward(a) -> Series:

@@ -9,7 +9,13 @@ import pytest
 
 from helpers import F, S, expm, per_sample_matrix_check, recursive_eval_F
 from liebutcher import lbseries, matrixpostlie
-from liebutcher.lbseries import FieldSeries, exp_concat, field_generator, magnus_chi
+from liebutcher.lbseries import (
+    FieldSeries,
+    exp_concat,
+    field_generator,
+    lie_midpoint_field,
+    magnus_chi,
+)
 from liebutcher.matrixpostlie import (
     check_matrix_postlie_axioms,
     check_projection_identity,
@@ -440,6 +446,22 @@ class TestEvalF:
             with pytest.raises(ValueError, match="series does not vanish on shuffles"):
                 eval_F(kind, self.m0, plain)
         assert len(field_checks) == 2
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_result_of_an_unvalidated_field_records_no_check(self, kind, field_checks):
+        unchecked = FieldSeries(field_generator(4), validate=False)
+        chi = magnus_chi(unchecked, 4, validate=False)
+        got = eval_F(kind, self.m0, chi)  # taken as checked, recorded as not
+        assert not field_checks
+        assert np.array_equal(eval_F(kind, self.m0, chi.series), got)
+        assert len(field_checks) == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_built_field_is_recorded_with_no_check(self, kind, field_checks):
+        k = lie_midpoint_field(4)  # built from h[], vouched for by the algebra
+        got = eval_F(kind, self.m0, k)
+        assert np.array_equal(eval_F(kind, self.m0, k.series), got)
+        assert not field_checks
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_field_series_check_is_kept_for_the_plain_series(self, kind, field_checks):
