@@ -19,14 +19,17 @@ series.deshuffle_forest, which is built letter by letter.  A field needs
 every sum to be 0, a character needs a_u a_v; no logarithm is taken.  Both
 exponentials and the logarithm share one power-series loop, which grades
 its operand for the kernel once, not once per power.
-Each series is checked once, where it enters.  The exponentials and chi
-check their argument, truncated at n, as a field, and the logarithm checks
-its argument as a character; none checks its result, since at every
-truncation exp and log are inverse bijections between fields and
-characters.  The wrapper they return vouches for its series (_validated),
-so the next call takes it as checked; validate=False skips the argument's
-check and vouches for nothing.  The method characters, the exact flow and
-the midpoint stage are built from h[] and run no predicate.
+Each series is checked once, where it enters, by the entry check of its
+kind (_Checked._enter): a field (FieldSeries) or a character
+(MethodCharacter).  The constructors run it, the exponentials and chi run
+the field check on their argument truncated at n, the logarithm runs the
+character check on its argument, and eval_F runs the field check; none
+checks its result, since at every truncation exp and log are inverse
+bijections between fields and characters.  A wrapper vouches for its series
+(_validated) when a constructor built it, or the algebra built it from a
+checked series or from h[], and the check takes such a wrapper as checked.
+validate=False, on the exponentials, chi and the logarithm only, skips the
+argument's check and vouches for nothing.
 The midpoint stage is a graded fixed point: round r solves at truncation r
 only, so the rounds cost the sum of their own truncations' costs; every
 product runs through the graded integer kernel series.bilinear.
@@ -135,17 +138,34 @@ def is_character(a: Series) -> bool:
 
 
 class _Checked:
-    """A series wrapped with its class's constructor check.  Like a Series
-    it is an immutable value, so a series that passed the check stays
+    """A series wrapped once it passed its kind's entry check.  Like a
+    Series it is an immutable value, so a series that passed the check stays
     checked.
 
-    _validated says whether the wrapper vouches for its series: the check
-    ran, here or on the argument it was built from, or the algebra built
-    the series from h[] alone.  validate=False skips the check and vouches
-    for nothing.  The exponentials, the logarithm, chi and the constructors
-    take a vouched wrapper as checked; eval_F records only vouched fields."""
+    _enter is the one entry check, run by the constructor, the exponentials,
+    chi, the logarithm and eval_F.  It unwraps its argument, tests the
+    constant term against the class's _constant, truncates at n, and runs
+    the class's predicate _holds unless validate is False or the argument is
+    a wrapper of the class that vouches for its series (_validated).  A
+    constructor's wrapper always vouches; one the algebra builds (_built)
+    vouches when its argument was checked or built from h[]."""
 
     __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, series: Series):
+        self._hold(self._enter(series), True)
+
+    @classmethod
+    def _enter(cls, a, n: int | None = None, validate: bool = True) -> Series:
+        """a's series, truncated at n if n is given, once it passed the check."""
+        s = _as_series(a)
+        if s.coeff(EMPTY_FOREST) != cls._constant:
+            raise ValueError(cls._messages[0])
+        if n is not None:
+            s = s.truncated(n)
+        if validate and not (isinstance(a, cls) and a._validated) and not cls._holds(s):
+            raise ValueError(cls._messages[1])
+        return s
 
     def _hold(self, series: Series, vouched: bool) -> None:
         object.__setattr__(self, "series", series)
@@ -172,43 +192,29 @@ class _Checked:
         return f"{type(self).__name__}({self.series!r})"
 
 
-def _vouched(a) -> bool:
-    return isinstance(a, _Checked) and a._validated
-
-
 class FieldSeries(_Checked):
     """A vector-field series: zero constant term, vanishing on shuffles.
 
-    The constant term is always checked; the shuffle check runs once, here,
-    unless validate is False or the argument is a wrapper that vouches for
-    its series (_validated, see _Checked).  The result vouches iff validate
-    is True.  A checked series (a MethodCharacter or FieldSeries) is
-    unwrapped; anything else but a Series is a TypeError.  magnus_chi,
-    log_gl and lie_midpoint_field return one that runs no check: they
-    checked their argument or built it from h[]."""
+    Built from a Series or a wrapper, which is unwrapped; anything else is a
+    TypeError.  magnus_chi, log_gl and lie_midpoint_field return one that
+    runs no check: they checked their argument or built it from h[]."""
 
-    def __init__(self, series: Series, validate: bool = True):
-        s = _as_series(series)
-        if s.coeff(EMPTY_FOREST) != 0:
-            raise ValueError("a field series must have zero constant term")
-        if validate and not _vouched(series) and not is_inf_character(s):
-            raise ValueError("series does not vanish on shuffles")
-        self._hold(s, validate)
+    _constant = 0
+    _holds = staticmethod(lambda s: is_inf_character(s))  # looked up per call
+    _messages = ("a field series must have zero constant term",
+                 "series does not vanish on shuffles")
 
 
 class MethodCharacter(_Checked):
-    """A flow series: constant term 1, multiplicative on shuffles; takes
-    its series and checks it as FieldSeries does.  The exponentials and the
-    method characters return one that runs no check: they checked their
-    argument as a field or built it from h[]."""
+    """A flow series: constant term 1, multiplicative on shuffles; built as
+    FieldSeries is.  The exponentials and the method characters return one
+    that runs no check: they checked their argument as a field or built it
+    from h[]."""
 
-    def __init__(self, series: Series, validate: bool = True):
-        s = _as_series(series)
-        if s.coeff(EMPTY_FOREST) != 1:
-            raise ValueError("a character must have constant term 1")
-        if validate and not _vouched(series) and not is_character(s):
-            raise ValueError("series is not multiplicative on shuffles")
-        self._hold(s, validate)
+    _constant = 1
+    _holds = staticmethod(lambda s: is_character(s))  # looked up per call
+    _messages = ("a character must have constant term 1",
+                 "series is not multiplicative on shuffles")
 
 
 def _as_series(a) -> Series:
@@ -240,15 +246,9 @@ def _power_series(x: Series, n: int, basis, weight) -> Series:
 def _series_exp(a, n: int, basis, validate: bool) -> Series:
     """The exponential of a under the product on basis, truncated at n.
 
-    a's constant term must be 0 and, unless validate is False or a is
-    vouched for, a truncated at n must vanish on shuffles, which holds iff
+    a enters as a field truncated at n (FieldSeries._enter), which holds iff
     its exponential is a character (see _Checked._built)."""
-    s = _as_series(a)
-    if s.coeff(EMPTY_FOREST) != 0:
-        raise ValueError("exponential requires a zero constant term")
-    s = s.truncated(n)
-    if validate and not _vouched(a) and not is_inf_character(s):
-        raise ValueError("series does not vanish on shuffles")
+    s = FieldSeries._enter(a, n, validate)
     return Series.unit(n) + _power_series(s, n, basis, lambda k: Fraction(1, math.factorial(k)))
 
 
@@ -274,13 +274,9 @@ def exp_gl(a, n: int, validate: bool = True) -> MethodCharacter:
 def log_gl(c, validate: bool = True) -> FieldSeries:
     """Grossman-Larson logarithm; inverse of exp_gl up to the truncation.
 
-    c is checked as a character, which holds iff its logarithm vanishes on
-    shuffles; the message names the logarithm."""
-    s = _as_series(c)
-    if s.coeff(EMPTY_FOREST) != 1:
-        raise ValueError("logarithm requires constant term 1")
-    if validate and not _vouched(c) and not is_character(s):
-        raise ValueError("series does not vanish on shuffles")
+    c enters as a character (MethodCharacter._enter), which holds iff its
+    logarithm vanishes on shuffles."""
+    s = MethodCharacter._enter(c, validate=validate)
     return FieldSeries._built(_series_log(s), validate)
 
 

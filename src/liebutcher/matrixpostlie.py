@@ -235,14 +235,13 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     Words of length k >= 2 must assemble into expanded commutators; the
     whole input is required to vanish on shuffles (the exact criterion for
     being such a combination) and each word is then folded with left-nested
-    commutators and weight 1/k, which reproduces the element.  A
-    FieldSeries is taken as already checked.  Any other input is checked as
-    one before a plan is laid out for it, unless its coefficients equal the
-    ones last checked on the same support: the support's cache entry keeps
-    those Fraction objects (a repeat call on them compares by identity)
-    with their float weights, whether the check ran here or in a
-    FieldSeries, since neither a Series nor a FieldSeries can change.  A
-    FieldSeries built with validate=False ran no check, so it records none.
+    commutators and weight 1/k, which reproduces the element.  The input
+    enters through FieldSeries (a wrapper that vouches for its series runs
+    no check) before a plan is laid out for it, unless its coefficients
+    equal the ones that last passed on the same support: the support's
+    cache entry keeps those Fraction objects (a repeat call on them compares
+    by identity) with their float weights, since neither a Series nor a
+    FieldSeries can change.
 
     The numpy work runs on stacks, laid out by the evaluation plan of the
     series support (_plan, cached per support): one batched |> per level
@@ -267,13 +266,11 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     if checked is not None and checked[0] == coeffs:
         weights = checked[1]
     else:
-        if not isinstance(a, FieldSeries):
-            a = FieldSeries(a)
+        FieldSeries(a)
         if plan.layout is None:
             plan.layout = _layout(support)
         weights = np.array([float(c) for c in coeffs]) / plan.layout[-1]
-        if a._validated:
-            plan.checked = coeffs, weights
+        plan.checked = coeffs, weights
     size, levels, first, letters, order, _ = plan.layout
     minus = _pi_minus(kindv, m0.shape[-1])
     values = np.empty((size,) + m0.shape)

@@ -509,7 +509,7 @@ def recursive_eval_F(kind: str, m0, a) -> np.ndarray:
     F(t) = F(head) |> F(rest) - F(other attachments) recursed through a
     memo, each word folded by left-nested commutators and the terms summed
     one by one in term order.  The input is checked as a field series."""
-    series = a.series if isinstance(a, FieldSeries) else FieldSeries(a).series
+    series = FieldSeries(a).series
     m0 = np.asarray(m0, dtype=float)
     memo = {LEAF: m0}
 

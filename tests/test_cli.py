@@ -216,6 +216,10 @@ class TestExpAndMagnus:
         code, out, err = run(capsys, "exp", "--kind", "gl", "--degree", "4", "[] []")
         assert (code, out, err) == (1, "", "error: series does not vanish on shuffles\n")
 
+    def test_exp_refuses_a_constant_term_with_the_field_message(self, capsys):
+        code, out, err = run(capsys, "exp", "--kind", "gl", "--degree", "4", "1")
+        assert (code, out, err) == (1, "", "error: a field series must have zero constant term\n")
+
     def test_magnus_json_contains_paper_coefficient(self, capsys):
         code, out, _ = run(capsys, "magnus", "--degree", "3", "--format", "json")
         assert code == 0

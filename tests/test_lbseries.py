@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from helpers import (
     shuffle_oracle,
     subset_deshuffle_forest,
 )
-from liebutcher import lbseries, series
+from liebutcher import lbseries, matrixpostlie, series
 from liebutcher.lbseries import (
     METHOD_CHARACTERS,
     FieldSeries,
@@ -40,6 +41,7 @@ from liebutcher.lbseries import (
     magnus_chi,
     order_of_agreement,
 )
+from liebutcher.matrixpostlie import eval_F
 from liebutcher.postlie import bracket, gl_product
 from liebutcher.series import Series
 from liebutcher.trees import EMPTY_FOREST, enumerate_forests, enumerate_trees
@@ -115,14 +117,12 @@ class TestWrappers:
     def test_field_series_rejects_shuffle_products(self):
         with pytest.raises(ValueError):
             FieldSeries(Series.of("[] []"))
-        FieldSeries(Series.of("[] []"), validate=False)  # switch skips the scan
 
     def test_character_rejects_wrong_constant(self):
         with pytest.raises(ValueError):
             MethodCharacter(Series.of("[]"))
         with pytest.raises(ValueError):
             MethodCharacter(Series.unit(4) + Series.of("[[]]", 1, 4))
-        MethodCharacter(Series.unit(4) + Series.of("[[]]", 1, 4), validate=False)
 
     def test_wrappers_check_the_series_a_checked_one_holds(self):
         char, field = exp_concat(field_generator(3), 3), magnus_chi(field_generator(3), 3)
@@ -547,6 +547,7 @@ def _corolla(k):
     return F("[" + " ".join(["[]"] * (k - 1)) + "]")
 
 
+@pytest.mark.parametrize("n", [8, 10])
 class TestClosedForms:
     """Coefficients known without any product code (Magnus, CPAM 7, 1954;
     Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999): on corollas
@@ -554,20 +555,18 @@ class TestClosedForms:
     log(1 + x), and it vanishes on the words []^k, k >= 2; the exact flow
     is e^x on both chains and corollas."""
 
-    N = 8
-
-    def test_chi(self):
-        chi = magnus_chi(field_generator(self.N), self.N).series
-        bernoulli = _bernoulli(self.N)
-        for k in range(1, self.N + 1):
+    def test_chi(self, n):
+        chi = magnus_chi(field_generator(n), n).series
+        bernoulli = _bernoulli(n)
+        for k in range(1, n + 1):
             assert chi.coeff(_corolla(k)) == bernoulli[k - 1] / math.factorial(k - 1), k
             assert chi.coeff(_chain(k)) == Fraction((-1) ** (k + 1), k), k
             if k >= 2:
                 assert chi.coeff(F(" ".join(["[]"] * k))) == 0, k
 
-    def test_exact_flow(self):
-        flow = exact_flow_character(self.N).series
-        for k in range(1, self.N + 1):
+    def test_exact_flow(self, n):
+        flow = exact_flow_character(n).series
+        for k in range(1, n + 1):
             want = Fraction(1, math.factorial(k))
             assert flow.coeff(_chain(k)) == flow.coeff(_corolla(k)) == want, k
 
@@ -639,11 +638,11 @@ class TestVouching:
                              ids=["exp_concat", "exp_gl", "magnus_chi", "FieldSeries"])
     def test_an_unvalidated_field_is_checked(self, call):
         with pytest.raises(ValueError, match="series does not vanish on shuffles"):
-            call(FieldSeries(self.BAD, validate=False))
+            call(magnus_chi(self.BAD, 4, validate=False))
 
     def test_an_unvalidated_character_is_checked(self):
-        bad = MethodCharacter(exp_gl(self.BAD, 4, validate=False), validate=False)
-        with pytest.raises(ValueError, match="series does not vanish on shuffles"):
+        bad = exp_gl(self.BAD, 4, validate=False)
+        with pytest.raises(ValueError, match="series is not multiplicative on shuffles"):
             log_gl(bad)
         with pytest.raises(ValueError, match="series is not multiplicative on shuffles"):
             MethodCharacter(bad)
@@ -651,9 +650,7 @@ class TestVouching:
     def test_validate_false_vouches_for_nothing(self):
         gen = field_generator(4)
         built = [exp_concat(gen, 4, validate=False), exp_gl(gen, 4, validate=False),
-                 magnus_chi(gen, 4, validate=False), log_gl(exp_gl(gen, 4), validate=False),
-                 FieldSeries(gen, validate=False),
-                 MethodCharacter(exp_gl(gen, 4), validate=False)]
+                 magnus_chi(gen, 4, validate=False), log_gl(exp_gl(gen, 4), validate=False)]
         assert not any(w._validated for w in built)
 
     @pytest.mark.parametrize("n", [0, 3, 6])
@@ -677,6 +674,65 @@ class TestVouching:
             assert char._validated and is_character(char.series)
         for field in (lie_midpoint_field(n), magnus_chi(field_generator(n), n)):
             assert field._validated and is_inf_character(field.series)
+
+
+FIELD_ENTRIES = {
+    "FieldSeries": FieldSeries,
+    "exp_concat": lambda a: exp_concat(a, 4),
+    "exp_gl": lambda a: exp_gl(a, 4),
+    "magnus_chi": lambda a: magnus_chi(a, 4),
+    "eval_F": lambda a: eval_F("lu", np.eye(3), a),
+}
+CHARACTER_ENTRIES = {"MethodCharacter": MethodCharacter, "log_gl": log_gl}
+
+
+def _message(call, a):
+    with pytest.raises(ValueError) as err:
+        call(a)
+    return str(err.value)
+
+
+class TestEntryCheck:
+    """Fields and characters each have one entry check (_Checked._enter),
+    which every entry point of the kind goes through, so a fault gets one
+    message wherever it enters."""
+
+    @pytest.mark.parametrize("entries, bad, message", [
+        (FIELD_ENTRIES, Series.unit(4) + field_generator(4),
+         "a field series must have zero constant term"),
+        (FIELD_ENTRIES, TestVouching.BAD, "series does not vanish on shuffles"),
+        (FIELD_ENTRIES, magnus_chi(TestVouching.BAD, 4, validate=False),
+         "series does not vanish on shuffles"),
+        (CHARACTER_ENTRIES, field_generator(4), "a character must have constant term 1"),
+        (CHARACTER_ENTRIES, Series.unit(4) + S("[[]]", 1, 4),
+         "series is not multiplicative on shuffles"),
+        (CHARACTER_ENTRIES, exp_gl(TestVouching.BAD, 4, validate=False),
+         "series is not multiplicative on shuffles"),
+    ], ids=["field-constant", "field-shuffle", "field-shuffle-unvouched",
+            "character-constant", "character-shuffle", "character-shuffle-unvouched"])
+    def test_one_message_per_fault(self, entries, bad, message):
+        got = {name: _message(call, bad) for name, call in entries.items()}
+        assert got == dict.fromkeys(entries, message)
+
+    @pytest.mark.parametrize("cls, series", [(FieldSeries, field_generator(4)),
+                                             (MethodCharacter, Series.unit(4))],
+                             ids=["FieldSeries", "MethodCharacter"])
+    def test_a_constructor_always_vouches(self, cls, series):
+        assert cls(series)._validated
+        with pytest.raises(TypeError):
+            cls(series, validate=False)
+
+    def test_the_predicates_are_looked_up_per_call(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(lbseries, "is_inf_character", lambda a: seen.append("field") or True)
+        monkeypatch.setattr(lbseries, "is_character", lambda a: seen.append("character") or True)
+        matrixpostlie._plan.cache_clear()
+        gen, unit = field_generator(3), Series.unit(3)
+        for call in FIELD_ENTRIES.values():
+            call(gen)
+        for call in CHARACTER_ENTRIES.values():
+            call(unit)
+        assert seen == ["field"] * len(FIELD_ENTRIES) + ["character"] * len(CHARACTER_ENTRIES)
 
 
 def backward(a) -> Series:
