@@ -90,7 +90,7 @@ def _cmd_exp(args) -> int:
     else:
         a = _load_operand(args.series, n)
     fn = lbseries.exp_concat if args.kind == "concat" else lbseries.exp_gl
-    _emit_series(fn(a, n).series, args.format)
+    _emit_series(fn(a, n), args.format)
     return 0
 
 
@@ -98,7 +98,7 @@ def _cmd_magnus(args) -> int:
     from . import lbseries
     n = args.degree
     chi = lbseries.magnus_chi(lbseries.field_generator(n), n)
-    _emit_series(chi.series, args.format)
+    _emit_series(chi, args.format)
     return 0
 
 

@@ -4,8 +4,8 @@ One statement serves the free realization (grafting on planar forests,
 `postlie`) and the matrix splittings (`matrixpostlie`): tr is the
 realization's product |> and br its Lie bracket.  This module imports
 nothing, so a realization that passes its own tr and br loads no symbolic
-layer; only an omitted tr or br loads `postlie`, for grafting and the
-concatenation commutator.
+layer; only dbracket with tr or br omitted loads `postlie`, for grafting
+and the concatenation commutator.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from __future__ import annotations
 __all__ = ["associator", "dbracket", "postlie_identities"]
 
 
-def associator(a, b, c, tr=None):
-    """a |> (b |> c) - (a |> b) |> c, with tr grafting when omitted."""
-    if tr is None:
-        from .postlie import triangleright as tr
+def associator(a, b, c, tr):
+    """a |> (b |> c) - (a |> b) |> c."""
     return tr(a, tr(b, c)) - tr(tr(a, b), c)
 
 

@@ -25,11 +25,11 @@ kind (_Checked._enter): a field (FieldSeries) or a character
 the field check on their argument truncated at n, the logarithm runs the
 character check on its argument, and eval_F runs the field check; none
 checks its result, since at every truncation exp and log are inverse
-bijections between fields and characters.  A wrapper vouches for its series
-(_validated) when a constructor built it, or the algebra built it from a
-checked series or from h[], and the check takes such a wrapper as checked.
-validate=False, on the exponentials, chi and the logarithm only, skips the
-argument's check and vouches for nothing.
+bijections between fields and characters.  Both kinds are Series, and the
+type is the proof: a constructor built the series, or the algebra built it
+from a checked series or from h[], so the check takes a series of its own
+kind as checked.  validate=False, on the exponentials, chi and the
+logarithm only, skips the argument's check and returns a plain Series.
 The midpoint stage is a graded fixed point: round r solves at truncation r
 only, so the rounds cost the sum of their own truncations' costs; every
 product runs through the graded integer kernel series.bilinear.
@@ -42,7 +42,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .postlie import _DEFAULT_EXTENSION, triangleright
-from .series import Series, _concat_basis, _graded, _graded_product, _immutable, deshuffle_forest
+from .series import Series, _concat_basis, _graded, _graded_product, deshuffle_forest
 from .trees import EMPTY_FOREST, LEAF, forest_sort_key
 
 __all__ = [
@@ -137,68 +137,65 @@ def is_character(a: Series) -> bool:
     return found == pairs
 
 
-class _Checked:
-    """A series wrapped once it passed its kind's entry check.  Like a
-    Series it is an immutable value, so a series that passed the check stays
-    checked.
+class _Checked(Series):
+    """A Series of one kind, field or character, that passed the kind's
+    entry check or that the algebra built from a checked argument.  It
+    shares the terms and truncation of the series it was made from, and
+    arithmetic on it returns a plain Series.  Only the constructor and
+    _built make one, so of, zero, unit and from_json raise TypeError.
 
     _enter is the one entry check, run by the constructor, the exponentials,
-    chi, the logarithm and eval_F.  It unwraps its argument, tests the
+    chi, the logarithm and eval_F.  It refuses a non-Series, tests the
     constant term against the class's _constant, truncates at n, and runs
-    the class's predicate _holds unless validate is False or the argument is
-    a wrapper of the class that vouches for its series (_validated).  A
-    constructor's wrapper always vouches; one the algebra builds (_built)
-    vouches when its argument was checked or built from h[]."""
+    the class's predicate _holds unless validate is False or the argument
+    is already of the class."""
 
-    __setattr__ = __delattr__ = _immutable
+    __slots__ = ()
 
     def __init__(self, series: Series):
-        self._hold(self._enter(series), True)
+        self._hold(self._enter(series))
 
     @classmethod
     def _enter(cls, a, n: int | None = None, validate: bool = True) -> Series:
-        """a's series, truncated at n if n is given, once it passed the check."""
-        s = _as_series(a)
-        if s.coeff(EMPTY_FOREST) != cls._constant:
+        """a, truncated at n if n is given, once it passed the check."""
+        if not isinstance(a, Series):
+            raise TypeError(
+                f"expected a Series, FieldSeries or MethodCharacter, got {type(a).__name__}"
+            )
+        if a.coeff(EMPTY_FOREST) != cls._constant:
             raise ValueError(cls._messages[0])
-        if n is not None:
-            s = s.truncated(n)
-        if validate and not (isinstance(a, cls) and a._validated) and not cls._holds(s):
+        s = a if n is None else a.truncated(n)
+        if validate and not isinstance(a, cls) and not cls._holds(s):
             raise ValueError(cls._messages[1])
         return s
 
-    def _hold(self, series: Series, vouched: bool) -> None:
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "_validated", vouched)
+    def _hold(self, series: Series) -> None:
+        object.__setattr__(self, "terms", series.terms)
+        object.__setattr__(self, "trunc", series.trunc)
 
     @classmethod
-    def _built(cls, series: Series, vouched: bool):
-        """A wrapper on a series the algebra built, which runs no check: at
-        every truncation exp and log are inverse bijections between fields
-        and characters (the deshuffle coproduct makes both products Hopf
-        algebras), so checking the argument checks the result."""
+    def _built(cls, series: Series):
+        """series as one of the class, built by the algebra, which runs no
+        check: at every truncation exp and log are inverse bijections
+        between fields and characters (the deshuffle coproduct makes both
+        products Hopf algebras), so checking the argument checks the
+        result."""
         out = object.__new__(cls)
-        out._hold(series, vouched)
+        out._hold(series)
         return out
 
-    @property
-    def trunc(self) -> int | None:
-        return self.series.trunc
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.series == other.series
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.series!r})"
+    def __reduce__(self):
+        return type(self)._built, (Series(dict(self.terms), self.trunc),)
 
 
 class FieldSeries(_Checked):
     """A vector-field series: zero constant term, vanishing on shuffles.
 
-    Built from a Series or a wrapper, which is unwrapped; anything else is a
-    TypeError.  magnus_chi, log_gl and lie_midpoint_field return one that
-    runs no check: they checked their argument or built it from h[]."""
+    Built from a Series; anything else is a TypeError.  magnus_chi, log_gl
+    and lie_midpoint_field return one that runs no check: they checked
+    their argument or built it from h[]."""
 
+    __slots__ = ()
     _constant = 0
     _holds = staticmethod(lambda s: is_inf_character(s))  # looked up per call
     _messages = ("a field series must have zero constant term",
@@ -211,21 +208,16 @@ class MethodCharacter(_Checked):
     that runs no check: they checked their argument as a field or built it
     from h[]."""
 
+    __slots__ = ()
     _constant = 1
     _holds = staticmethod(lambda s: is_character(s))  # looked up per call
     _messages = ("a character must have constant term 1",
                  "series is not multiplicative on shuffles")
 
 
-def _as_series(a) -> Series:
-    """The Series a checked series wraps, or a itself if it is a Series."""
-    if isinstance(a, _Checked):
-        return a.series
-    if not isinstance(a, Series):
-        raise TypeError(
-            f"expected a Series, FieldSeries or MethodCharacter, got {type(a).__name__}"
-        )
-    return a
+def _result(cls, series: Series, validate: bool) -> Series:
+    """series as a cls when its argument passed the check, else plain."""
+    return cls._built(series) if validate else series
 
 
 def _power_series(x: Series, n: int, basis, weight) -> Series:
@@ -260,39 +252,39 @@ def _series_log(s: Series) -> Series:
     )
 
 
-def exp_concat(a, n: int, validate: bool = True) -> MethodCharacter:
+def exp_concat(a, n: int, validate: bool = True) -> MethodCharacter | Series:
     """Concatenation exponential, truncated at degree n (frozen-field flow)."""
-    return MethodCharacter._built(_series_exp(a, n, _concat_basis, validate), validate)
+    return _result(MethodCharacter, _series_exp(a, n, _concat_basis, validate), validate)
 
 
-def exp_gl(a, n: int, validate: bool = True) -> MethodCharacter:
+def exp_gl(a, n: int, validate: bool = True) -> MethodCharacter | Series:
     """Grossman-Larson exponential, truncated at degree n (exact flow)."""
     series = _series_exp(a, n, _DEFAULT_EXTENSION.gl_basis, validate)
-    return MethodCharacter._built(series, validate)
+    return _result(MethodCharacter, series, validate)
 
 
-def log_gl(c, validate: bool = True) -> FieldSeries:
+def log_gl(c, validate: bool = True) -> FieldSeries | Series:
     """Grossman-Larson logarithm; inverse of exp_gl up to the truncation.
 
     c enters as a character (MethodCharacter._enter), which holds iff its
     logarithm vanishes on shuffles."""
     s = MethodCharacter._enter(c, validate=validate)
-    return FieldSeries._built(_series_log(s), validate)
+    return _result(FieldSeries, _series_log(s), validate)
 
 
-def magnus_chi(a, n: int, validate: bool = True) -> FieldSeries:
+def magnus_chi(a, n: int, validate: bool = True) -> FieldSeries | Series:
     """The map chi with exp_concat(a) = exp_gl(chi(a)), computed as log o exp.
 
     Truncating chi at degree m and re-exponentiating recovers exp_concat(a)
     through degree m, which is the backward-error reading of the frozen
     Euler flow.
     """
-    return FieldSeries._built(_series_log(_series_exp(a, n, _concat_basis, validate)), validate)
+    return _result(FieldSeries, _series_log(_series_exp(a, n, _concat_basis, validate)), validate)
 
 
 def _generating_field(n: int) -> FieldSeries:
-    """h[] as a vouched field: a single tree vanishes on every shuffle."""
-    return FieldSeries._built(field_generator(n), True)
+    """h[] as a field: a single tree vanishes on every shuffle."""
+    return FieldSeries._built(field_generator(n))
 
 
 def lie_euler_character(n: int) -> MethodCharacter:
@@ -313,8 +305,8 @@ def lie_midpoint_field(n: int) -> FieldSeries:
     half = Fraction(1, 2)
     for r in range(1, n + 1):
         lifted = Series(k.terms, r) * half
-        k = triangleright(exp_concat(lifted, r, validate=False).series, hgen)
-    return FieldSeries._built(k, True)
+        k = triangleright(exp_concat(lifted, r, validate=False), hgen)
+    return FieldSeries._built(k)
 
 
 def lie_midpoint_character(n: int) -> MethodCharacter:
@@ -334,21 +326,20 @@ def exact_flow_character(n: int) -> MethodCharacter:
     return exp_gl(_generating_field(n), n)
 
 
-def first_defect(a, b) -> Defect | None:
+def first_defect(a: Series, b: Series) -> Defect | None:
     """First coefficient disagreement in canonical order, or None."""
-    sa, sb = _as_series(a), _as_series(b)
-    if sa.trunc is None or sa.trunc != sb.trunc:
+    if a.trunc is None or a.trunc != b.trunc:
         raise ValueError("series must share a finite truncation degree")
-    f = min((sa - sb).terms, key=forest_sort_key, default=None)
-    return None if f is None else Defect(f.degree, f, sa.coeff(f), sb.coeff(f))
+    f = min((a - b).terms, key=forest_sort_key, default=None)
+    return None if f is None else Defect(f.degree, f, a.coeff(f), b.coeff(f))
 
 
-def agreement(a, b) -> tuple[int, Defect | None]:
+def agreement(a: Series, b: Series) -> tuple[int, Defect | None]:
     """(order_of_agreement(a, b), first_defect(a, b)), the defect found once."""
     defect = first_defect(a, b)
-    return (_as_series(a).trunc if defect is None else defect.degree - 1), defect
+    return (a.trunc if defect is None else defect.degree - 1), defect
 
 
-def order_of_agreement(a, b) -> int:
+def order_of_agreement(a: Series, b: Series) -> int:
     """Largest p with all coefficients of degree <= p equal (p <= trunc)."""
     return agreement(a, b)[0]

@@ -37,7 +37,6 @@ from . import _memo
 from .identities import dbracket, postlie_identities
 
 if TYPE_CHECKING:
-    from .lbseries import FieldSeries
     from .series import Series
 
 __all__ = [
@@ -222,7 +221,7 @@ def check_matrix_postlie_axioms(
 _PLANS = 64
 
 
-def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
+def eval_F(kind, m0, a: Series) -> np.ndarray:
     """Evaluate the tree-to-matrix morphism that sends the one-node tree to m0.
 
     Trees are resolved by inverting the grafting relation: for a tree whose
@@ -236,12 +235,11 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     whole input is required to vanish on shuffles (the exact criterion for
     being such a combination) and each word is then folded with left-nested
     commutators and weight 1/k, which reproduces the element.  The input
-    enters through FieldSeries (a wrapper that vouches for its series runs
-    no check) before a plan is laid out for it, unless its coefficients
-    equal the ones that last passed on the same support: the support's
-    cache entry keeps those Fraction objects (a repeat call on them compares
-    by identity) with their float weights, since neither a Series nor a
-    FieldSeries can change.
+    enters through FieldSeries (a FieldSeries runs no check) before a plan
+    is laid out for it, unless its coefficients equal the ones that last
+    passed on the same support: the support's cache entry keeps those
+    Fraction objects (a repeat call on them compares by identity) with
+    their float weights, since a Series cannot change.
 
     The numpy work runs on stacks, laid out by the evaluation plan of the
     series support (_plan, cached per support): one batched |> per level
@@ -255,11 +253,11 @@ def eval_F(kind, m0, a: Series | FieldSeries) -> np.ndarray:
     """
     # The symbolic layers load here, once per call and never per tree: the
     # identity checks load none of them.
-    from .lbseries import FieldSeries, _as_series
+    from .lbseries import FieldSeries
 
     kindv = _kind(kind)
     m0 = _square(m0)
-    terms = _as_series(a).terms
+    terms = FieldSeries._enter(a, validate=False).terms  # type and constant term only
     support, coeffs = tuple(terms), tuple(terms.values())
     plan = _plan(support)
     checked = plan.checked

@@ -18,7 +18,7 @@ Grossman-Larson product restricts to a.b + a |> b on single trees and is
 associative with unit I.  Everything here is exact and degree-additive.  The
 post-Lie identities live in `identities`, generic over the realization; the
 `associator`, `dbracket` and `postlie_identities` exported here are those
-functions, and the first two default to grafting and the concatenation
+functions, and dbracket defaults to grafting and the concatenation
 commutator.
 
 Every memo here is a functools.lru_cache keyed on interned forests.

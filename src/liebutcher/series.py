@@ -8,17 +8,21 @@ produce coefficients that were not actually computed.
 
 All coefficients are Fractions; floats are rejected to keep identity
 checks exact.  Only the public constructors (Series(...), of, unit,
-from_json) check terms: each coefficient is converted, zeros and forests
-past the truncation are dropped, and equal values share one Fraction.
-A Series is an immutable value: terms is a read-only mapping and no
-attribute can be reassigned, so checked terms stay checked and everything
-else starts from them and trusts them.  Arithmetic (+, -, unary -, scalar
-* and /, truncated, component) copies the entries it leaves untouched and
-sends only the entries it changes through the shared table, in the term
-order of its operands.  The product kernel `bilinear` works on integer
-numerators over one common denominator per operand and visits only the
-degree blocks that survive truncation; it reduces each output sum with one
-gcd and stores the shared Fraction directly.
+from_json) check terms: each coefficient is converted to a reduced
+Fraction, and zeros and forests past the truncation are dropped.  Every
+stored coefficient goes through the 4096-entry table _shared, so equal
+values share one Fraction object while the table still holds that value;
+a value it has evicted comes back as a new object, and a long computation
+holds many equal values in distinct objects.  A Series is an immutable
+value: terms is a read-only mapping and no attribute can be reassigned, so
+checked terms stay checked and everything else starts from them and
+trusts them.  Arithmetic (+, -, unary -, scalar * and /, truncated,
+component) copies the entries it leaves untouched and sends only the
+entries it changes through the _shared table, in the term order of its
+operands.  The product kernel `bilinear` works on integer numerators over
+one common denominator per operand and visits only the degree blocks that
+survive truncation; it reduces each output sum with one gcd and stores the
+Fraction from _shared directly.
 """
 
 from __future__ import annotations
@@ -86,8 +90,9 @@ def _as_coeff(c) -> Fraction:
     return Fraction(c)
 
 
-# Equal coefficients share one Fraction: series kept alive together repeat a
-# few thousand values, so sharing them roughly halves the memory per term.
+# Equal coefficients share one Fraction while this table holds the value:
+# series kept alive together repeat a few thousand values, so sharing them
+# roughly halves the memory per term.
 _shared = _memo(maxsize=1 << 12)(Fraction)
 
 
@@ -121,8 +126,8 @@ class Series:
     def _unchecked(cls, terms: dict[Forest, Fraction], trunc: int | None) -> "Series":
         """A Series that takes terms as they are, checked and copied by
         nothing: the caller guarantees what __init__ would make of them,
-        non-zero _shared coefficients on forests of degree <= trunc, and
-        keeps no other reference to the dict."""
+        reduced non-zero Fractions from _shared on forests of degree <=
+        trunc, and keeps no other reference to the dict."""
         out = object.__new__(cls)
         object.__setattr__(out, "terms", MappingProxyType(terms))
         object.__setattr__(out, "trunc", trunc)
@@ -132,6 +137,12 @@ class Series:
 
     def __reduce__(self):
         return Series, (dict(self.terms), self.trunc)
+
+    @property
+    def series(self) -> "Series":
+        """The series itself, for code written when fields and characters
+        were wrappers that held a Series."""
+        return self
 
     @classmethod
     def zero(cls, trunc: int | None = None) -> "Series":
@@ -236,7 +247,7 @@ class Series:
         else:
             body = " + ".join(f"{self.terms[f]}*{f.text}" for f in self.support())
         suffix = "" if self.trunc is None else f" (trunc {self.trunc})"
-        return f"<Series {body}{suffix}>"
+        return f"<{type(self).__name__} {body}{suffix}>"
 
     def to_json(self) -> dict:
         """JSON form: terms in canonical forest order, reduced coefficients."""
@@ -306,7 +317,7 @@ def bilinear(a: Series, b: Series, basis) -> Series:
     lcm of its denominators (_graded), so the sums run in int (or exactly in
     Fraction for a basis with Fraction coefficients).  Each non-zero sum n
     over the product den of the two denominators is reduced by gcd(n, den)
-    once and stored as the _shared Fraction, and the result is built
+    once and stored as the Fraction _shared returns, and the result is built
     unchecked: the block skip already keeps every forest within the
     truncation.  A caller that multiplies by one operand many times grades
     it once and calls _graded_product itself.

@@ -135,31 +135,31 @@ def step_lie_euler(field: AngularField, y0: Point, h: float) -> Point:
     return _rotate(_angle(field, y0, h), y0)
 
 
-def step_lie_midpoint(
-    field: AngularField,
-    y0: Point,
-    h: float,
-    tol: float = 1e-13,
-    maxit: int = 50,
-) -> Point:
+# The midpoint stage's fixed-point iteration stops at this residual, and
+# raises after this many rounds.
+_MIDPOINT_TOL = 1e-13
+_MIDPOINT_MAXIT = 50
+
+
+def step_lie_midpoint(field: AngularField, y0: Point, h: float) -> Point:
     """One step of K = h omega(exp(K/2) y0), y1 = exp(K) y0.
 
     The stage K is solved by fixed-point iteration from K = h omega(y0);
-    failure to contract within maxit raises, signalling the step is too
-    large for the field.
+    failure to contract within _MIDPOINT_MAXIT rounds raises, signalling the
+    step is too large for the field.
     """
     k = _angle(field, y0, h)
     residual = math.inf
-    for _ in range(maxit):
+    for _ in range(_MIDPOINT_MAXIT):
         kx, ky, kz = k
         knext = _angle(field, _rotate((0.5 * kx, 0.5 * ky, 0.5 * kz), y0), h)
         residual = math.dist(knext, k)
         k = knext
-        if residual <= tol:
+        if residual <= _MIDPOINT_TOL:
             return _rotate(k, y0)
     raise ConvergenceError(
-        f"midpoint stage did not reach {tol:g} within {maxit} iterations "
-        f"(last residual {residual:g}); reduce the step size",
+        f"midpoint stage did not reach {_MIDPOINT_TOL:g} within {_MIDPOINT_MAXIT} "
+        f"iterations (last residual {residual:g}); reduce the step size",
         residual,
     )
 

@@ -162,6 +162,47 @@ class TestWrappers:
         assert list(got.series.terms) == list(checked.series.terms)
 
 
+class TestCheckedSeries:
+    """A field or a character is a Series that passed its check, and only
+    the constructor and the algebra build one."""
+
+    def test_a_checked_series_is_a_series(self):
+        gen = field_generator(3)
+        chi = magnus_chi(gen, 3)
+        plain = Series(chi.terms, chi.trunc)
+        assert isinstance(chi, Series) and type(plain) is Series
+        assert FieldSeries(gen) == gen and chi == plain
+        assert type(chi + gen) is Series and chi + gen == plain + gen
+        assert type(chi.truncated(2)) is Series and type(-chi) is Series
+        assert chi.to_json() == plain.to_json()
+        assert chi.series is chi and plain.series is plain
+        assert repr(chi) == repr(plain).replace("<Series", "<FieldSeries", 1)
+        assert bool(FieldSeries(Series.zero(3))) is False
+
+    @pytest.mark.parametrize("cls", [FieldSeries, MethodCharacter])
+    @pytest.mark.parametrize("build", [
+        lambda cls: cls.of("[]", 1, 3), lambda cls: cls.zero(3), lambda cls: cls.unit(3),
+        lambda cls: cls.from_json(Series.unit(3).to_json()),
+    ], ids=["of", "zero", "unit", "from_json"])
+    def test_only_the_constructor_and_the_algebra_build_one(self, cls, build):
+        with pytest.raises(TypeError):
+            build(cls)
+
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_round_trips_run_no_predicate(self, how, monkeypatch):
+        def refuse(a):
+            raise AssertionError("a round trip ran a predicate")
+
+        round_trip = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+                      "copy": copy.copy, "deepcopy": copy.deepcopy}[how]
+        built = [magnus_chi(field_generator(4), 4), exp_concat(field_generator(4), 4)]
+        monkeypatch.setattr(lbseries, "is_character", refuse)
+        monkeypatch.setattr(lbseries, "is_inf_character", refuse)
+        for checked in built:
+            got = round_trip(checked)
+            assert type(got) is type(checked) and got == checked
+
+
 def _assert_predicates_match_oracle(s):
     assert is_inf_character(s) == brute_force_is_inf_character(s), s
     assert is_character(s) == brute_force_is_character(s), s
@@ -627,9 +668,9 @@ class TestVerdicts:
 
 
 class TestVouching:
-    """_validated: a wrapper vouches for its series when its check ran, or
-    when the algebra built it from checked series; validate=False vouches
-    for nothing."""
+    """The type is the proof: a FieldSeries or MethodCharacter passed its
+    check or was built by the algebra from checked series; validate=False
+    returns a plain Series."""
 
     BAD = field_generator(4) + S("[] [[]]", 1, 4)
 
@@ -651,7 +692,7 @@ class TestVouching:
         gen = field_generator(4)
         built = [exp_concat(gen, 4, validate=False), exp_gl(gen, 4, validate=False),
                  magnus_chi(gen, 4, validate=False), log_gl(exp_gl(gen, 4), validate=False)]
-        assert not any(w._validated for w in built)
+        assert [type(w) for w in built] == [Series] * 4
 
     @pytest.mark.parametrize("n", [0, 3, 6])
     def test_vouched_series_run_no_predicate(self, n, monkeypatch):
@@ -665,15 +706,16 @@ class TestVouching:
         built = [field, chi, exp_concat(chi, n), log_gl(exp_gl(chi, n)), FieldSeries(chi),
                  MethodCharacter(exp_gl(field, n)), lie_euler_character(n),
                  lie_midpoint_character(n), exact_flow_character(n)]
-        assert all(w._validated for w in built)
+        kinds = [FieldSeries, FieldSeries, MethodCharacter, FieldSeries, FieldSeries]
+        assert [type(w) for w in built] == kinds + [MethodCharacter] * 4
 
     @pytest.mark.parametrize("n", range(9))
     def test_built_series_pass_the_predicates(self, n):
         for char in (*(method(n) for method in METHOD_CHARACTERS.values()),
                      exact_flow_character(n)):
-            assert char._validated and is_character(char.series)
+            assert type(char) is MethodCharacter and is_character(char)
         for field in (lie_midpoint_field(n), magnus_chi(field_generator(n), n)):
-            assert field._validated and is_inf_character(field.series)
+            assert type(field) is FieldSeries and is_inf_character(field)
 
 
 FIELD_ENTRIES = {
@@ -718,7 +760,7 @@ class TestEntryCheck:
                                              (MethodCharacter, Series.unit(4))],
                              ids=["FieldSeries", "MethodCharacter"])
     def test_a_constructor_always_vouches(self, cls, series):
-        assert cls(series)._validated
+        assert type(cls(series)) is cls
         with pytest.raises(TypeError):
             cls(series, validate=False)
 

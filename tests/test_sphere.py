@@ -111,18 +111,22 @@ class TestSteps:
 
     def test_midpoint_constant_field_is_exact_exponential(self):
         c = np.array([0.3, -0.2, 0.5])
-        field = lambda y: c
-        got = step_lie_midpoint(field, Y0, 0.1, maxit=2)
+        calls = []
+        field = lambda y: calls.append(y) or c
+        got = step_lie_midpoint(field, Y0, 0.1)
+        assert len(calls) <= 3  # the start and at most two rounds
         assert np.allclose(got, helpers.rot_exp(0.1 * c) @ Y0, atol=1e-15)
 
     def test_midpoint_converges_quickly(self):
-        # contraction for a small step: well under the default iteration cap
-        got = step_lie_midpoint(FIELD, Y0, 1e-2, tol=1e-13, maxit=10)
+        # contraction for a small step: well under the iteration cap
+        calls = []
+        got = step_lie_midpoint(lambda y: calls.append(y) or FIELD(y), Y0, 1e-2)
+        assert len(calls) <= 11  # the start and at most ten rounds
         assert norm_defect(got) <= 1e-14
 
     def test_midpoint_divergence_raises_with_residual(self):
         with pytest.raises(ConvergenceError) as err:
-            step_lie_midpoint(FIELD, Y0, 1e3, tol=1e-13, maxit=5)
+            step_lie_midpoint(FIELD, Y0, 1e3)
         assert err.value.residual > 0
 
     def test_midpoint_reversibility(self):
