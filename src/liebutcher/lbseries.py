@@ -21,15 +21,18 @@ exponentials and the logarithm share one power-series loop, which grades
 its operand for the kernel once, not once per power.
 Each series is checked once, where it enters, by the entry check of its
 kind (_Checked._enter): a field (FieldSeries) or a character
-(MethodCharacter).  The constructors run it, the exponentials and chi run
-the field check on their argument truncated at n, the logarithm runs the
-character check on its argument, and eval_F runs the field check; none
-checks its result, since at every truncation exp and log are inverse
-bijections between fields and characters.  Both kinds are Series, and the
-type is the proof: a constructor built the series, or the algebra built it
-from a checked series or from h[], so the check takes a series of its own
-kind as checked.  validate=False, on the exponentials, chi and the
-logarithm only, skips the argument's check and returns a plain Series.
+(MethodCharacter).  The constructors run it, the exponentials run the field
+check on their argument truncated at n, the logarithm runs the character
+check on its argument, and eval_F runs the field check; none checks its
+result, since at every truncation exp and log are inverse bijections
+between fields and characters.  Both kinds are Series, and the type is the
+proof: a constructor built the series, or the algebra built it from a
+checked series, so the check takes a series of its own kind as checked.
+The generator h[] (field_generator) is a field from the start, and chi is
+log_gl o exp_concat through both entries, so the logarithm takes the
+character that exp_concat built as checked.  validate=False, on the
+exponentials, chi and the logarithm only, skips the argument's check and
+returns a plain Series.
 The midpoint stage is a graded fixed point: round r solves at truncation r
 only, so the rounds cost the sum of their own truncations' costs; every
 product runs through the graded integer kernel series.bilinear.
@@ -67,11 +70,6 @@ __all__ = [
 ]
 
 Defect = namedtuple("Defect", ["degree", "forest", "lhs", "rhs"])
-
-
-def field_generator(trunc: int | None = None) -> Series:
-    """The one-node-tree series h*[]; degree k doubles as the power h^k."""
-    return Series.of(LEAF, 1, trunc)
 
 
 def _bound(a: Series) -> int:
@@ -139,16 +137,17 @@ def is_character(a: Series) -> bool:
 
 class _Checked(Series):
     """A Series of one kind, field or character, that passed the kind's
-    entry check or that the algebra built from a checked argument.  It
-    shares the terms and truncation of the series it was made from, and
-    arithmetic on it returns a plain Series.  Only the constructor and
-    _built make one, so of, zero, unit and from_json raise TypeError.
+    entry check, or that _built made: the algebra's result on a checked
+    argument, or the field h[].  It shares the terms and truncation of the
+    series it was made from, and arithmetic on it returns a plain Series.
+    Only the constructor and _built make one, so of, zero, unit and
+    from_json raise TypeError.
 
     _enter is the one entry check, run by the constructor, the exponentials,
-    chi, the logarithm and eval_F.  It refuses a non-Series, tests the
-    constant term against the class's _constant, truncates at n, and runs
-    the class's predicate _holds unless validate is False or the argument
-    is already of the class."""
+    the logarithm and eval_F; chi enters through exp_concat and log_gl.  It
+    refuses a non-Series, tests the constant term against the class's
+    _constant, truncates at n, and runs the class's predicate _holds unless
+    validate is False or the argument is already of the class."""
 
     __slots__ = ()
 
@@ -191,9 +190,10 @@ class _Checked(Series):
 class FieldSeries(_Checked):
     """A vector-field series: zero constant term, vanishing on shuffles.
 
-    Built from a Series; anything else is a TypeError.  magnus_chi, log_gl
-    and lie_midpoint_field return one that runs no check: they checked
-    their argument or built it from h[]."""
+    Built from a Series; anything else is a TypeError.  field_generator
+    returns h[] as one, since a single tree vanishes on every shuffle;
+    log_gl (and so magnus_chi) and lie_midpoint_field return one that runs
+    no check, since they checked their argument or built it from h[]."""
 
     __slots__ = ()
     _constant = 0
@@ -204,20 +204,14 @@ class FieldSeries(_Checked):
 
 class MethodCharacter(_Checked):
     """A flow series: constant term 1, multiplicative on shuffles; built as
-    FieldSeries is.  The exponentials and the method characters return one
-    that runs no check: they checked their argument as a field or built it
-    from h[]."""
+    FieldSeries is.  The exponentials, and so the method characters, return
+    one that runs no check, since they checked their argument as a field."""
 
     __slots__ = ()
     _constant = 1
     _holds = staticmethod(lambda s: is_character(s))  # looked up per call
     _messages = ("a character must have constant term 1",
                  "series is not multiplicative on shuffles")
-
-
-def _result(cls, series: Series, validate: bool) -> Series:
-    """series as a cls when its argument passed the check, else plain."""
-    return cls._built(series) if validate else series
 
 
 def _power_series(x: Series, n: int, basis, weight) -> Series:
@@ -241,26 +235,18 @@ def _series_exp(a, n: int, basis, validate: bool) -> Series:
     a enters as a field truncated at n (FieldSeries._enter), which holds iff
     its exponential is a character (see _Checked._built)."""
     s = FieldSeries._enter(a, n, validate)
-    return Series.unit(n) + _power_series(s, n, basis, lambda k: Fraction(1, math.factorial(k)))
-
-
-def _series_log(s: Series) -> Series:
-    n = _bound(s)
-    x = (s - Series.unit(s.trunc)).truncated(n)
-    return _power_series(
-        x, n, _DEFAULT_EXTENSION.gl_basis, lambda k: Fraction((-1) ** (k + 1), k)
-    )
+    e = Series.unit(n) + _power_series(s, n, basis, lambda k: Fraction(1, math.factorial(k)))
+    return MethodCharacter._built(e) if validate else e
 
 
 def exp_concat(a, n: int, validate: bool = True) -> MethodCharacter | Series:
     """Concatenation exponential, truncated at degree n (frozen-field flow)."""
-    return _result(MethodCharacter, _series_exp(a, n, _concat_basis, validate), validate)
+    return _series_exp(a, n, _concat_basis, validate)
 
 
 def exp_gl(a, n: int, validate: bool = True) -> MethodCharacter | Series:
     """Grossman-Larson exponential, truncated at degree n (exact flow)."""
-    series = _series_exp(a, n, _DEFAULT_EXTENSION.gl_basis, validate)
-    return _result(MethodCharacter, series, validate)
+    return _series_exp(a, n, _DEFAULT_EXTENSION.gl_basis, validate)
 
 
 def log_gl(c, validate: bool = True) -> FieldSeries | Series:
@@ -269,7 +255,10 @@ def log_gl(c, validate: bool = True) -> FieldSeries | Series:
     c enters as a character (MethodCharacter._enter), which holds iff its
     logarithm vanishes on shuffles."""
     s = MethodCharacter._enter(c, validate=validate)
-    return _result(FieldSeries, _series_log(s), validate)
+    n = _bound(s)
+    x = (s - Series.unit(s.trunc)).truncated(n)
+    log = _power_series(x, n, _DEFAULT_EXTENSION.gl_basis, lambda k: Fraction((-1) ** (k + 1), k))
+    return FieldSeries._built(log) if validate else log
 
 
 def magnus_chi(a, n: int, validate: bool = True) -> FieldSeries | Series:
@@ -279,17 +268,18 @@ def magnus_chi(a, n: int, validate: bool = True) -> FieldSeries | Series:
     through degree m, which is the backward-error reading of the frozen
     Euler flow.
     """
-    return _result(FieldSeries, _series_log(_series_exp(a, n, _concat_basis, validate)), validate)
+    return log_gl(exp_concat(a, n, validate), validate)
 
 
-def _generating_field(n: int) -> FieldSeries:
-    """h[] as a field: a single tree vanishes on every shuffle."""
-    return FieldSeries._built(field_generator(n))
+def field_generator(trunc: int | None = None) -> FieldSeries:
+    """The one-node-tree series h*[] as a field (a single tree vanishes on
+    every shuffle); degree k doubles as the power h^k."""
+    return FieldSeries._built(Series.of(LEAF, 1, trunc))
 
 
 def lie_euler_character(n: int) -> MethodCharacter:
     """Series of the method stepping along the frozen exponential flow."""
-    return exp_concat(_generating_field(n), n)
+    return exp_concat(field_generator(n), n)
 
 
 def lie_midpoint_field(n: int) -> FieldSeries:
@@ -323,7 +313,7 @@ METHOD_CHARACTERS = {
 
 def exact_flow_character(n: int) -> MethodCharacter:
     """exp_gl of the generating field: the benchmark exact-flow series."""
-    return exp_gl(_generating_field(n), n)
+    return exp_gl(field_generator(n), n)
 
 
 def first_defect(a: Series, b: Series) -> Defect | None:

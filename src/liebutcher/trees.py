@@ -117,9 +117,6 @@ class Forest(_Interned):
     def __len__(self) -> int:
         return len(self.trees)
 
-    def __iter__(self):
-        return iter(self.trees)
-
 
 LEAF = Tree()
 EMPTY_FOREST = Forest()

@@ -709,6 +709,19 @@ class TestVouching:
         kinds = [FieldSeries, FieldSeries, MethodCharacter, FieldSeries, FieldSeries]
         assert [type(w) for w in built] == kinds + [MethodCharacter] * 4
 
+    @pytest.mark.parametrize("n", [None, 0, 1, 4])
+    def test_the_generator_is_a_field_and_runs_no_predicate(self, n, monkeypatch):
+        def refuse(a):
+            raise AssertionError("the generator was checked")
+
+        gen = field_generator(n)
+        assert type(gen) is FieldSeries and gen == Series.of("[]", 1, n)
+        monkeypatch.setattr(lbseries, "is_character", refuse)
+        monkeypatch.setattr(lbseries, "is_inf_character", refuse)
+        m = 4 if n is None else n
+        built = [exp_concat(gen, m), exp_gl(gen, m), magnus_chi(gen, m)]
+        assert [type(w) for w in built] == [MethodCharacter, MethodCharacter, FieldSeries]
+
     @pytest.mark.parametrize("n", range(9))
     def test_built_series_pass_the_predicates(self, n):
         for char in (*(method(n) for method in METHOD_CHARACTERS.values()),
@@ -769,7 +782,7 @@ class TestEntryCheck:
         monkeypatch.setattr(lbseries, "is_inf_character", lambda a: seen.append("field") or True)
         monkeypatch.setattr(lbseries, "is_character", lambda a: seen.append("character") or True)
         matrixpostlie._plan.cache_clear()
-        gen, unit = field_generator(3), Series.unit(3)
+        gen, unit = Series.of("[]", 1, 3), Series.unit(3)
         for call in FIELD_ENTRIES.values():
             call(gen)
         for call in CHARACTER_ENTRIES.values():

@@ -63,6 +63,8 @@ class TestConstruction:
             Series.of("[]", 0.5)
         with pytest.raises(TypeError):
             S("[]") * 0.5
+        with pytest.raises(TypeError, match="^cannot interpret 1.5 as a forest$"):
+            Series.of(1.5)
 
 
 ROUND_TRIPS = {
@@ -140,6 +142,19 @@ class TestVectorSpace:
         assert s.component(2) == Series({F("[] []"): 1})
         assert s.max_degree() == 2
         assert Series.zero().max_degree() == 0
+
+    @pytest.mark.parametrize("op", [lambda s: s + 1, lambda s: s - 1, lambda s: s * s],
+                             ids=["add", "sub", "series-times-series"])
+    def test_operands_that_are_not_series_are_refused(self, op):
+        with pytest.raises(TypeError):
+            op(S("[]"))
+
+    def test_a_series_equals_no_other_type(self):
+        assert (S("[]") == 1) is False and (Series.zero() == 0) is False
+
+    def test_repr_of_zero(self):
+        assert repr(Series.zero(3)) == "<Series 0 (trunc 3)>"
+        assert repr(Series.zero()) == "<Series 0>"
 
 
 class TestConcat:

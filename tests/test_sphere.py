@@ -213,6 +213,7 @@ class TestUnitVector:
             (np.eye(3), r"R\^3, got shape \(3, 3\)$"),
             ([[1.0, 0.0, 0.0]] * 3, r"R\^3, got shape \(3, 3\)$"),
             ([1.0, 0.0], r"R\^3, got shape \(2,\)$"),
+            ([], r"R\^3, got shape \(0,\)$"),
             (np.array(5.0), r"R\^3, got shape \(\)$"),
             ("100", r"R\^3, got shape \(\)$"),
             (["a", 0.0, 0.0], "could not convert string to float"),
