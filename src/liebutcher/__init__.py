@@ -84,11 +84,11 @@ def _memo(maxsize=None):
 
 
 def clear_caches() -> None:
-    """Empty every memo in _MEMOS, eval_F's plans (with the coefficients
-    they keep) and the default extension's bases among them.  A warm session
-    can then time a cold run or give the memory back.  The Tree and Forest
-    intern tables stay, since equal values must remain one object, and a
-    GraftExtension made by the caller keeps its own caches."""
+    """Empty every memo in _MEMOS, eval_F's layouts and the default
+    extension's bases among them.  A warm session can then time a cold run
+    or give the memory back.  The Tree and Forest intern tables stay, since
+    equal values must remain one object, and a GraftExtension made by the
+    caller keeps its own caches."""
     for memo in _MEMOS:
         memo.cache_clear()
 

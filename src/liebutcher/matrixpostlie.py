@@ -10,12 +10,11 @@ grafting against an independent realization.
 The module imports numpy and `identities` only: the identity checks run the
 post-Lie identities of `identities` with the matrix product, and load no
 symbolic layer.  eval_F is the one bridge to the symbolic layers; it loads
-`trees`, `postlie` and `lbseries` inside the call, once per call.  It runs
-on stacks, by an evaluation plan cached per series support: one batched |>
-per level (the trees of one degree), one batched commutator per letter
-position, and a sum in term order, bit-identical to a per-tree recursion.
-The plan's cache entry also keeps the coefficients last checked as a field
-on that support, so a repeat call on them is not checked again.
+`trees`, `postlie` and `lbseries` inside the call, once per call.  Its
+input enters through the one field check, and it runs on stacks, by a
+layout cached per series support: one batched |> per level (the trees of
+one degree), one batched commutator per letter position, and a sum in term
+order, bit-identical to a per-tree recursion.
 
 Every public function takes one real n x n matrix or a stack of them on the
 last two axes (a complex one is refused, not cut to its real part), and on
@@ -217,7 +216,7 @@ def check_matrix_postlie_axioms(
     return _sampled_check("postlie-axioms", kind, n, samples, tol, seed, 3, residuals)
 
 
-# Evaluation plans kept, one per series support.
+# Evaluation layouts kept, one per series support.
 _PLANS = 64
 
 
@@ -235,21 +234,17 @@ def eval_F(kind, m0, a: Series) -> np.ndarray:
     whole input is required to vanish on shuffles (the exact criterion for
     being such a combination) and each word is then folded with left-nested
     commutators and weight 1/k, which reproduces the element.  The input
-    enters through FieldSeries (a FieldSeries runs no check) before a plan
-    is laid out for it, unless its coefficients equal the ones that last
-    passed on the same support: the support's cache entry keeps those
-    Fraction objects (a repeat call on them compares by identity) with
-    their float weights, since a Series cannot change.
+    enters through FieldSeries._enter, the one entry check: a FieldSeries
+    runs no predicate, and a plain Series runs it on every call.
 
-    The numpy work runs on stacks, laid out by the evaluation plan of the
-    series support (_plan, cached per support): one batched |> per level
-    (the trees of one degree), the other attachments subtracted one rank at
-    a time in graft_attachments order, one batched commutator per letter
-    position, and the weighted words summed one after another in term
-    order.  Each entry goes through the same floating-point operations, in
-    the same order, as in a per-tree recursion, so the result is
-    bit-identical to it, on a stack of m0 too.  The result is a fresh
-    array that owns its data.
+    The numpy work runs on stacks, laid out by the series support (_layout,
+    cached per support): one batched |> per level (the trees of one degree),
+    the other attachments subtracted one rank at a time in graft_attachments
+    order, one batched commutator per letter position, and the weighted
+    words summed one after another in term order.  Each entry goes through
+    the same floating-point operations, in the same order, as in a per-tree
+    recursion, so the result is bit-identical to it, on a stack of m0 too.
+    The result is a fresh array that owns its data.
     """
     # The symbolic layers load here, once per call and never per tree: the
     # identity checks load none of them.
@@ -257,19 +252,10 @@ def eval_F(kind, m0, a: Series) -> np.ndarray:
 
     kindv = _kind(kind)
     m0 = _square(m0)
-    terms = FieldSeries._enter(a, validate=False).terms  # type and constant term only
-    support, coeffs = tuple(terms), tuple(terms.values())
-    plan = _plan(support)
-    checked = plan.checked
-    if checked is not None and checked[0] == coeffs:
-        weights = checked[1]
-    else:
-        FieldSeries(a)
-        if plan.layout is None:
-            plan.layout = _layout(support)
-        weights = np.array([float(c) for c in coeffs]) / plan.layout[-1]
-        plan.checked = coeffs, weights
-    size, levels, first, letters, order, _ = plan.layout
+    terms = FieldSeries._enter(a).terms
+    size, levels, first, letters, order, lengths = _layout(tuple(terms))
+    # Fraction.__float__'s own division, without its per-term call
+    weights = np.array([c.numerator / c.denominator for c in terms.values()]) / lengths
     minus = _pi_minus(kindv, m0.shape[-1])
     values = np.empty((size,) + m0.shape)
     values[0] = m0
@@ -279,29 +265,14 @@ def eval_F(kind, m0, a: Series) -> np.ndarray:
             values[lo:hi] -= values[others]
     folded = values[first]
     for count, rows in letters:
-        folded[:count] = commutator(folded[:count], values[rows])
+        word, letter = folded[:count], values[rows]
+        folded[:count] = word @ letter - letter @ word
     acc = np.zeros((len(terms) + 1,) + m0.shape)
     np.multiply(weights.reshape((-1,) + (1,) * m0.ndim), folded[order], out=acc[1:])
     return np.cumsum(acc, axis=0, out=acc)[-1].copy()
 
 
-class _Plan:
-    """The _plan cache entry of one series support: its layout (_layout),
-    built once a call on the support gets past the field check, and the
-    coefficients last checked on it, with their weights."""
-
-    __slots__ = ("layout", "checked")
-
-    def __init__(self):
-        self.layout = self.checked = None
-
-
 @_memo(maxsize=_PLANS)
-def _plan(support: tuple) -> _Plan:
-    """The cache entry of a series support (its forests in term order)."""
-    return _Plan()
-
-
 def _layout(support: tuple) -> tuple:
     """eval_F's evaluation layout for the forests of a series, in term order:
     (size, levels, first, letters, order, lengths).

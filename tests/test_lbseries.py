@@ -4,6 +4,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ from liebutcher.lbseries import (
     order_of_agreement,
 )
 from liebutcher.matrixpostlie import eval_F
-from liebutcher.postlie import bracket, gl_product
-from liebutcher.series import Series
+from liebutcher.postlie import bracket, dbracket, forget_planarity, gl_product, triangleright
+from liebutcher.series import Series, concat
 from liebutcher.trees import EMPTY_FOREST, enumerate_forests, enumerate_trees
 
 UNIT = Series.unit()
@@ -612,6 +613,86 @@ class TestClosedForms:
             assert flow.coeff(_chain(k)) == flow.coeff(_corolla(k)) == want, k
 
 
+def _symmetry(t):
+    """sigma(t), the order of the symmetry group of a non-planar tree whose
+    equal children sit side by side, as forget_planarity sorts them."""
+    out = 1
+    for child, same in groupby(t.children):
+        m = len(list(same))
+        out *= math.factorial(m) * _symmetry(child) ** m
+    return out
+
+
+def _tree_factorial(t):
+    """gamma(t): the node count times the children's tree factorials."""
+    return t.degree * math.prod(_tree_factorial(c) for c in t.children)
+
+
+# The flat-space B-series of each flow on a non-planar tree t (Butcher, Math.
+# Comp. 26, 1972; Hairer, Lubich & Wanner, ch. III): the exact flow, the
+# implicit midpoint rule and explicit Euler.
+FLAT_TREE_VALUES = {
+    "exact": lambda t: Fraction(1, _symmetry(t) * _tree_factorial(t)),
+    "lie-midpoint": lambda t: Fraction(2) ** (1 - t.degree) / _symmetry(t),
+    "lie-euler": lambda t: Fraction(t.degree == 1),
+}
+
+
+def _flat_b_series(n, tree_value):
+    """{non-planar forest of degree <= n: the product of tree_value over its
+    trees, over prod m! of its letter multiplicities}, zeros kept."""
+    planar = Series(dict.fromkeys((f for d in range(n + 1) for f in enumerate_forests(d)), 1), n)
+    out = {}
+    for f in forget_planarity(planar).terms:  # the positive weights merge, none cancels
+        repeats = math.prod(math.factorial(len(list(same))) for _, same in groupby(f.trees))
+        out[f] = Fraction(math.prod(map(tree_value, f.trees)), repeats)
+    return out
+
+
+def _flat_mismatches(char, tree_value):
+    """{forest: (got, want)} wherever forget_planarity(char) differs from the
+    flat B-series; both sides are read on the union of their supports, so a
+    missing term counts as a mismatch."""
+    want = _flat_b_series(char.trunc, tree_value)
+    got = forget_planarity(char).terms
+    zero = Fraction(0)
+    return {f: (got.get(f, zero), want.get(f, zero)) for f in {*got, *want}
+            if got.get(f, zero) != want.get(f, zero)}
+
+
+def _third_stage_midpoint(n):
+    """A wrong midpoint: exp_concat of the stage K = exp_concat(K/3) |> h[],
+    solved degree by degree as lie_midpoint_field solves K/2."""
+    hgen, k = field_generator(n), Series.zero(0)
+    for r in range(1, n + 1):
+        k = triangleright(exp_concat(Series(k.terms, r) * Fraction(1, 3), r, validate=False), hgen)
+    return exp_concat(k, n, validate=False)
+
+
+class TestFlatLimit:
+    """With planarity forgotten (the abelian, pre-Lie quotient), every method
+    character is the B-series of its Runge-Kutta method and the exact flow
+    that of the exact solution, on every term at degree 8 (Munthe-Kaas, BIT
+    38, 1998; Munthe-Kaas & Wright, FoCM 8, 2008).  No product code enters
+    the expected side."""
+
+    @pytest.mark.parametrize("name", ["exact", *METHOD_CHARACTERS])
+    def test_the_character_is_its_b_series(self, name):
+        char = {"exact": exact_flow_character, **METHOD_CHARACTERS}[name](8)
+        assert _flat_mismatches(char, FLAT_TREE_VALUES[name]) == {}
+
+    def test_the_expected_side_has_every_non_planar_forest(self):
+        # rooted forests of n nodes are rooted trees of n + 1: A000081(1..9)
+        want = _flat_b_series(8, FLAT_TREE_VALUES["exact"])
+        assert len(want) == sum([1, 1, 2, 4, 9, 20, 48, 115, 286]) and all(want.values())
+        euler = _flat_b_series(8, FLAT_TREE_VALUES["lie-euler"])
+        assert sorted(f.degree for f, c in euler.items() if c) == list(range(9))  # []^k
+
+    def test_a_third_stage_midpoint_is_not_the_midpoint_rule(self):
+        wrong = _flat_mismatches(_third_stage_midpoint(8), FLAT_TREE_VALUES["lie-midpoint"])
+        assert F("[[]]") in wrong  # the first stage weight shows at degree 2
+
+
 def _refuses(call, *args):
     """Whether call(*args) raises ValueError."""
     try:
@@ -781,7 +862,7 @@ class TestEntryCheck:
         seen = []
         monkeypatch.setattr(lbseries, "is_inf_character", lambda a: seen.append("field") or True)
         monkeypatch.setattr(lbseries, "is_character", lambda a: seen.append("character") or True)
-        matrixpostlie._plan.cache_clear()
+        matrixpostlie._layout.cache_clear()
         gen, unit = Series.of("[]", 1, 3), Series.unit(3)
         for call in FIELD_ENTRIES.values():
             call(gen)
@@ -870,3 +951,31 @@ class TestRandomLieMachinery:
                 m = random_lie_monomial(rng, d)
                 assert {f.degree for f in m.terms} == {d}
                 assert is_inf_character(m)
+
+
+class TestFieldClosure:
+    """Fields are closed under |>, the concatenation commutator and the
+    derived bracket, and a character acting on h[] is a field; the
+    concatenation of two fields is not one (seeded fields, degree 6)."""
+
+    def setup_method(self):
+        rng = random.Random(5)
+        self.x, self.y = random_lie_series(rng, 6), random_lie_series(rng, 6)
+
+    def test_the_operands_are_fields(self):
+        assert is_inf_character(self.x) and is_inf_character(self.y)
+
+    @pytest.mark.parametrize("op", [triangleright, bracket, dbracket],
+                             ids=["triangleright", "bracket", "dbracket"])
+    def test_an_operation_on_two_fields_is_a_field(self, op):
+        out = op(self.x, self.y)
+        assert max(f.degree for f in out.terms) == 6  # not the empty field
+        assert is_inf_character(out)
+
+    def test_a_character_acting_on_the_generator_is_a_field(self):
+        out = triangleright(lie_midpoint_character(6), field_generator(6))
+        assert max(f.degree for f in out.terms) == 6
+        assert is_inf_character(out)
+
+    def test_the_concatenation_of_two_fields_is_no_field(self):
+        assert not is_inf_character(concat(self.x, self.y))

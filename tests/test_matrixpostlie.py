@@ -326,8 +326,8 @@ class TestBatchedSampling:
 @pytest.fixture
 def field_checks(monkeypatch):
     """The series is_inf_character is asked about, in call order, with
-    eval_F's plan cache (and the coefficients it keeps) emptied first."""
-    matrixpostlie._plan.cache_clear()
+    eval_F's layout cache emptied first."""
+    matrixpostlie._layout.cache_clear()
     seen = []
     real = lbseries.is_inf_character
     monkeypatch.setattr(lbseries, "is_inf_character", lambda a: seen.append(a) or real(a))
@@ -409,14 +409,19 @@ class TestEvalF:
 
     def test_repeat_call_runs_no_field_check(self, field_checks):
         chi = fresh_chi(5)
-        first = eval_F("lu", self.m0, chi)
+        field = FieldSeries(chi)
         assert len(field_checks) == 1
-        same = Series(chi.terms, chi.trunc)  # another Series on the same Fractions
-        stack = np.stack([self.m0, -self.m0])
-        assert np.array_equal(eval_F("lu", self.m0, chi), first)
-        assert np.array_equal(eval_F("lu", self.m0, same), first)
-        eval_F("qr", stack, chi)
+        first = eval_F("lu", self.m0, field)
+        assert np.array_equal(eval_F("lu", self.m0, field), first)
+        eval_F("qr", np.stack([self.m0, -self.m0]), field)
         assert len(field_checks) == 1
+        assert np.array_equal(first, recursive_eval_F("lu", self.m0, field))
+        # a plain Series, the same one or another on the same Fractions, is
+        # checked on every call
+        same = Series(chi.terms, chi.trunc)
+        for checks, a in enumerate((chi, chi, same), 2):
+            assert np.array_equal(eval_F("lu", self.m0, a), first)
+            assert len(field_checks) == checks
 
     def test_the_series_cannot_change_after_a_call(self):
         chi = fresh_chi(4)
@@ -447,11 +452,13 @@ class TestEvalF:
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_result_of_an_unvalidated_field_is_checked_once(self, kind, field_checks):
         chi = magnus_chi(field_generator(4), 4, validate=False)
+        assert type(chi) is Series
         got = eval_F(kind, self.m0, chi)
-        assert len(field_checks) == 1 and field_checks[0] == chi.series
+        assert len(field_checks) == 1 and field_checks[0] == chi
         assert np.array_equal(eval_F(kind, self.m0, chi), got)
-        assert np.array_equal(eval_F(kind, self.m0, chi.series), got)
-        assert len(field_checks) == 1
+        assert np.array_equal(eval_F(kind, self.m0, Series(chi.terms, chi.trunc)), got)
+        assert len(field_checks) == 3  # once per call
+        assert np.array_equal(got, recursive_eval_F(kind, self.m0, chi))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_built_field_is_recorded_with_no_check(self, kind, field_checks):
@@ -461,14 +468,16 @@ class TestEvalF:
         assert not field_checks
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_a_field_series_check_is_kept_for_the_plain_series(self, kind, field_checks):
+    def test_a_field_series_check_is_not_kept_for_the_plain_series(self, kind, field_checks):
         chi = fresh_chi(4)
         field = FieldSeries(chi)
         assert len(field_checks) == 1
         got = eval_F(kind, self.m0, field)
+        assert len(field_checks) == 1
         assert np.array_equal(eval_F(kind, self.m0, chi), got)
         assert np.array_equal(eval_F(kind, self.m0, Series(chi.terms, chi.trunc)), got)
-        assert len(field_checks) == 1
+        assert len(field_checks) == 3
+        assert np.array_equal(got, recursive_eval_F(kind, self.m0, field))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("where", ["empty forest", "new word", "tree"])
@@ -509,7 +518,7 @@ def assert_oracle(kind, m0, a):
 
 
 class TestEvalFPlan:
-    """eval_F on its cached plan is bit-identical to the per-tree recursion
+    """eval_F on its cached layout is bit-identical to the per-tree recursion
     (helpers.recursive_eval_F), whatever the support, its order or its
     coefficients."""
 
@@ -557,17 +566,17 @@ class TestEvalFPlan:
         first = assert_oracle("lu", m0, chi)
         # each degree's part of a field is a field: scale the parts apart
         scaled = Series({f: c * (f.degree + 1) for f, c in chi.terms.items()}, chi.trunc)
-        hits = matrixpostlie._plan.cache_info().hits
+        hits = matrixpostlie._layout.cache_info().hits
         got = assert_oracle("lu", m0, scaled)
-        assert matrixpostlie._plan.cache_info().hits == hits + 1
+        assert matrixpostlie._layout.cache_info().hits == hits + 1
         assert not np.array_equal(got, first)
 
     def test_repeat_call_hits_the_plan_cache(self):
         m0 = np.eye(4) + np.tri(4, 4, -1)
         eval_F("qr", m0, CHIS[4])
-        before = matrixpostlie._plan.cache_info()
+        before = matrixpostlie._layout.cache_info()
         eval_F("qr", m0, CHIS[4])
-        after = matrixpostlie._plan.cache_info()
+        after = matrixpostlie._layout.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert after.maxsize is not None  # bounded
 
@@ -576,16 +585,18 @@ class TestEvalFPlan:
         rng = np.random.default_rng(16)
         chi = fresh_chi(5)
         scaled = Series({f: c * (f.degree + 1) for f, c in chi.terms.items()}, chi.trunc)
+        field = FieldSeries(scaled)
         checks = []
         for m0 in (rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (3, 4, 4))):
-            for a in (chi, chi, scaled, scaled, chi):
+            for a in (chi, chi, scaled, field, scaled, chi):
                 before = len(field_checks)
                 got = eval_F(kind, m0, a)
                 checks.append(len(field_checks) - before)
                 want = recursive_eval_F(kind, m0, a)
                 assert got.shape == want.shape and np.array_equal(got, want)
-        # the entry keeps the coefficients checked last, whatever m0 or kind
-        assert checks == [1, 0, 1, 0, 1] + [0, 0, 1, 0, 1]
+        # nothing is kept: a plain Series is checked on every call, whatever
+        # passed before on its support, and a FieldSeries never
+        assert checks == [1, 1, 1, 0, 1, 1] * 2
 
     def test_kept_results_hold_one_matrix_each(self):
         chi = CHIS[5]

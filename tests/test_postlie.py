@@ -418,7 +418,7 @@ class TestClearCaches:
             "postlie.graft_attachments": postlie.graft_attachments,
             "basis": ext.basis,
             "gl_basis": ext.gl_basis,
-            "matrixpostlie._plan": matrixpostlie._plan,
+            "matrixpostlie._layout": matrixpostlie._layout,
         }
 
     def test_every_memo_empties_and_chi_8_is_unchanged(self):
