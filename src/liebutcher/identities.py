@@ -2,10 +2,9 @@
 
 One statement serves the free realization (grafting on planar forests,
 `postlie`) and the matrix splittings (`matrixpostlie`): tr is the
-realization's product |> and br its Lie bracket.  This module imports
-nothing, so a realization that passes its own tr and br loads no symbolic
-layer; only dbracket with tr or br omitted loads `postlie`, for grafting
-and the concatenation commutator.
+realization's product |> and br its Lie bracket, passed by the caller.
+This module imports nothing, so a realization loads no other layer
+through it.
 """
 
 from __future__ import annotations
@@ -18,13 +17,8 @@ def associator(a, b, c, tr):
     return tr(a, tr(b, c)) - tr(tr(a, b), c)
 
 
-def dbracket(a, b, tr=None, br=None):
-    """The second Lie bracket: a |> b - b |> a + [a, b], with tr grafting and
-    br the concatenation commutator when omitted."""
-    if tr is None:
-        from .postlie import triangleright as tr
-    if br is None:
-        from .postlie import bracket as br
+def dbracket(a, b, tr, br):
+    """The second Lie bracket: a |> b - b |> a + [a, b]."""
     return tr(a, b) - tr(b, a) + br(a, b)
 
 

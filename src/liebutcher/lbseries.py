@@ -271,7 +271,7 @@ def magnus_chi(a, n: int, validate: bool = True) -> FieldSeries | Series:
     return log_gl(exp_concat(a, n, validate), validate)
 
 
-def field_generator(trunc: int | None = None) -> FieldSeries:
+def field_generator(trunc: int) -> FieldSeries:
     """The one-node-tree series h*[] as a field (a single tree vanishes on
     every shuffle); degree k doubles as the power h^k."""
     return FieldSeries._built(Series.of(LEAF, 1, trunc))

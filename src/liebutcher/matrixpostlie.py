@@ -20,7 +20,7 @@ Every public function takes one real n x n matrix or a stack of them on the
 last two axes (a complex one is refused, not cut to its real part), and on
 a stack equals its per-matrix results exactly.  The identity checks run
 their samples as such stacks, in blocks of a fixed number of doubles, so
-memory does not grow with `samples`; their `projector=`/`product=` hooks
+memory does not grow with `samples`; pi_minus (_pi_minus) and |> (_act)
 receive (block, n, n) stacks.
 """
 
@@ -56,13 +56,10 @@ _KINDS = ("lu", "qr")
 
 
 def _kind(kind) -> str:
-    """The kind as "lu" or "qr", given in any case; those two strings pass as they are."""
-    if kind in _KINDS:
-        return kind
-    lowered = str(kind).lower()
-    if lowered not in _KINDS:
+    """The kind, "lu" or "qr"; any other value, another case too, is refused."""
+    if kind not in _KINDS:
         raise ValueError(f"unknown projection kind {kind!r}; expected 'lu' or 'qr'")
-    return lowered
+    return kind
 
 
 def _check_square(m: np.ndarray) -> None:
@@ -179,17 +176,12 @@ def _sampled_check(check: str, kind, n: int, samples: int, tol: float, seed: int
 
 
 def check_projection_identity(
-    kind, n: int, samples: int = 100, tol: float = 1e-10,
-    seed: int = DEFAULT_SEED, projector=None,
+    kind, n: int, samples: int, tol: float = 1e-10, seed: int = DEFAULT_SEED
 ) -> dict:
-    """Residuals of [pM,pN] + p[M,N] = p([pM,N] + [M,pN]) for p in {pi-, pi+}.
+    """Residuals of [pM,pN] + p[M,N] = p([pM,N] + [M,pN]) for p in {pi-, pi+},
+    scaled by 1 + max input magnitude."""
 
-    Residuals are scaled by 1 + max input magnitude; `projector` overrides
-    pi_minus so tests can check that a corrupted projection fails.
-    """
-
-    def residuals(pi_minus, m, w):
-        minus = projector if projector is not None else pi_minus
+    def residuals(minus, m, w):
         for proj in (minus, lambda x: x - minus(x)):
             lhs = commutator(proj(m), proj(w)) + proj(commutator(m, w))
             rhs = proj(commutator(proj(m), w) + commutator(m, proj(w)))
@@ -199,15 +191,13 @@ def check_projection_identity(
 
 
 def check_matrix_postlie_axioms(
-    kind, n: int, samples: int = 100, tol: float = 1e-10,
-    seed: int = DEFAULT_SEED, product=None,
+    kind, n: int, samples: int, tol: float = 1e-10, seed: int = DEFAULT_SEED
 ) -> dict:
     """Residuals lhs - rhs of identities.postlie_identities plus the Jacobi
-    identity of the derived bracket, on random triples.  `product`
-    overrides |> so a wrong-sign product is seen to fail."""
+    identity of the derived bracket, on random triples."""
 
-    def residuals(pi_minus, x, y, z):
-        tr = product if product is not None else partial(_act, pi_minus)
+    def residuals(minus, x, y, z):
+        tr = partial(_act, minus)
         for _, lhs, rhs in postlie_identities(x, y, z, tr, commutator):
             yield lhs - rhs
         db = partial(dbracket, tr=tr, br=commutator)

@@ -17,8 +17,8 @@ costs recursion; graft_attachments reads tree-level grafting off it.  The
 Grossman-Larson product restricts to a.b + a |> b on single trees and is
 associative with unit I.  Everything here is exact and degree-additive.  The
 post-Lie identities live in `identities`, generic over the realization; the
-`associator`, `dbracket` and `postlie_identities` exported here are those
-functions, and dbracket defaults to grafting and the concatenation
+`associator` and `postlie_identities` exported here are those functions, and
+dbracket(a, b) is `identities.dbracket` with grafting and the concatenation
 commutator.
 
 Every memo here is a functools.lru_cache keyed on interned forests.
@@ -30,10 +30,10 @@ re-exported here) empties them with those of the other layers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from . import _MEMOS, _memo, clear_caches
-from .identities import associator, dbracket, postlie_identities
+from . import _MEMOS, _memo, clear_caches, identities
+from .identities import associator, postlie_identities
 from .series import Series, bilinear, concat, deshuffle_forest
 from .trees import Forest, Tree, enumerate_trees, forest_sort_key
 
@@ -121,15 +121,19 @@ def graft_attachments(t1: Tree, t2: Tree) -> tuple[Tree, ...]:
     return tuple(f.trees[0] for f, _ in _DEFAULT_EXTENSION.basis(Forest((t1,)), Forest((t2,))))
 
 
-def triangleright(a: Series, b: Series, extension: GraftExtension | None = None) -> Series:
+def triangleright(a: Series, b: Series) -> Series:
     """The grafting action of a on b, lifted to series of forests."""
-    ext = extension if extension is not None else _DEFAULT_EXTENSION
-    return bilinear(a, b, ext.basis)
+    return bilinear(a, b, _DEFAULT_EXTENSION.basis)
 
 
 def bracket(a: Series, b: Series) -> Series:
     """Concatenation commutator a.b - b.a."""
     return concat(a, b) - concat(b, a)
+
+
+def dbracket(a: Series, b: Series) -> Series:
+    """The second Lie bracket a |> b - b |> a + [a, b] of grafting."""
+    return identities.dbracket(a, b, triangleright, bracket)
 
 
 def gl_product(a: Series, b: Series, extension: GraftExtension | None = None) -> Series:
@@ -138,7 +142,7 @@ def gl_product(a: Series, b: Series, extension: GraftExtension | None = None) ->
     return bilinear(a, b, ext.gl_basis)
 
 
-def check_postlie_axioms(max_degree: int, extension: GraftExtension | None = None) -> dict:
+def check_postlie_axioms(max_degree: int) -> dict:
     """Verify postlie_identities for grafting on basis-tree triples.
 
     Covers all trees x, y, z with total degree <= max_degree; stops at the
@@ -146,7 +150,6 @@ def check_postlie_axioms(max_degree: int, extension: GraftExtension | None = Non
     check, the degree, the triples passed, pass, and the failing identity
     and triple as witness (None on a pass).
     """
-    tr = partial(triangleright, extension=extension)
     trees: list[Tree] = []
     for d in range(1, max_degree - 1):
         trees.extend(enumerate_trees(d))
@@ -161,7 +164,7 @@ def check_postlie_axioms(max_degree: int, extension: GraftExtension | None = Non
                 if x.degree + y.degree + z.degree > max_degree:
                     continue
                 triple = singles[x], singles[y], singles[z]
-                for name, lhs, rhs in postlie_identities(*triple, tr, bracket):
+                for name, lhs, rhs in postlie_identities(*triple, triangleright, bracket):
                     if lhs != rhs:
                         report["pass"] = False
                         report["witness"] = {
@@ -193,10 +196,8 @@ def forget_planarity(a: Series) -> Series:
     return Series(acc, a.trunc)
 
 
-def symmetrized_associator_defect(
-    x: Tree, y: Tree, z: Tree, extension: GraftExtension | None = None
-) -> Series:
+def symmetrized_associator_defect(x: Tree, y: Tree, z: Tree) -> Series:
     """Planarity-forgetting image of a(x,y,z) - a(y,x,z); zero for grafting."""
     sx, sy, sz = Series.of(x), Series.of(y), Series.of(z)
-    tr = partial(triangleright, extension=extension)
-    return forget_planarity(associator(sx, sy, sz, tr) - associator(sy, sx, sz, tr))
+    return forget_planarity(associator(sx, sy, sz, triangleright)
+                            - associator(sy, sx, sz, triangleright))

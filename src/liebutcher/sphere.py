@@ -164,7 +164,7 @@ def step_lie_midpoint(field: AngularField, y0: Point, h: float) -> Point:
     )
 
 
-def rigid_body_field(inertia=(1.0, 2.0, 3.0)) -> Callable[[Point], np.ndarray]:
+def rigid_body_field(inertia) -> Callable[[Point], np.ndarray]:
     """omega(y) = y / inertia componentwise: the free rigid body on the
     momentum sphere, as an array-valued field.  The inertia must be three
     finite positive moments; anything else raises ValueError."""
@@ -219,14 +219,12 @@ def _points(field: AngularField, y0, h: float, steps: int, method):
         yield i * h, y
 
 
-def trajectory(
-    field: AngularField, y0, h: float, steps: int, method="lie-euler"
-) -> list[tuple[float, Point]]:
+def trajectory(field: AngularField, y0, h: float, steps: int, method) -> list[tuple[float, Point]]:
     """The points (i*h, y_i) for i = 0..steps."""
     return list(_points(field, y0, h, steps, method))
 
 
-def integrate(field: AngularField, y0, h: float, steps: int, method="lie-euler") -> Point:
+def integrate(field: AngularField, y0, h: float, steps: int, method) -> Point:
     """The last point of trajectory(...), stepped to without keeping the path."""
     for _, y in _points(field, y0, h, steps, method):
         pass
@@ -241,9 +239,7 @@ def _slope(xs: list[float], ys: list[float]) -> float:
     return math.fsum(d * (y - my) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
 
 
-def convergence_study(
-    field: AngularField, y0, T: float, method, h_list, refine: int = 64
-) -> dict:
+def convergence_study(field: AngularField, y0, T: float, method, h_list, refine: int) -> dict:
     """Least-squares slope of log global error at T against log h.
 
     The reference is the same method run at h_min/refine.  A zero error

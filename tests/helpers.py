@@ -13,7 +13,8 @@ import numpy as np
 
 from liebutcher.lbseries import Defect, FieldSeries, field_generator, is_inf_character
 from liebutcher.matrixpostlie import commutator, mat_triangleright, project_minus
-from liebutcher.postlie import GraftExtension, bracket, dbracket, postlie_identities
+from liebutcher.identities import dbracket
+from liebutcher.postlie import GraftExtension, bracket, postlie_identities
 from liebutcher.series import Series, concat, deshuffle, deshuffle_forest, min_trunc, shuffle
 from liebutcher.sphere import ConvergenceError, norm_defect
 from liebutcher.trees import (

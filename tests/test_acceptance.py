@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from helpers import S, T, brute_force_forests, brute_force_trees, random_lie_series
+from liebutcher import matrixpostlie
 from liebutcher.lbseries import (
     exact_flow_character,
     exp_concat,
@@ -214,19 +215,21 @@ def test_criterion_07_symbolic_orders():
     )
 
 
-def test_criterion_08_matrix_realization():
+def test_criterion_08_matrix_realization(monkeypatch):
     start = time.perf_counter()
     ok = True
     for kind in ("lu", "qr"):
         for n in range(2, 7):
             ok = ok and check_projection_identity(kind, n, samples=100, tol=1e-10)["pass"]
             ok = ok and check_matrix_postlie_axioms(kind, n, samples=100, tol=1e-10)["pass"]
-    neg_proj = check_projection_identity(
-        "lu", 4, samples=20, projector=lambda m: 0.9 * np.tril(m, -1)
-    )
-    neg_prod = check_matrix_postlie_axioms(
-        "lu", 4, samples=20, product=lambda a, b: -mat_triangleright("lu", a, b)
-    )
+    # negative controls: a corrupted pi_minus, then a wrong-sign product
+    monkeypatch.setattr(matrixpostlie, "_pi_minus", lambda kind, n: lambda m: 0.9 * np.tril(m, -1))
+    neg_proj = check_projection_identity("lu", 4, samples=20)
+    monkeypatch.undo()
+    act = matrixpostlie._act
+    monkeypatch.setattr(matrixpostlie, "_act", lambda minus, a, b: -act(minus, a, b))
+    neg_prod = check_matrix_postlie_axioms("lu", 4, samples=20)
+    monkeypatch.undo()
     ok = ok and not neg_proj["pass"] and not neg_prod["pass"]
     elapsed = time.perf_counter() - start
     _report(
@@ -270,8 +273,8 @@ def test_criterion_10_numeric_orders():
     field = rigid_body_field((1.0, 2.0, 3.0))
     y0 = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
     hs = [1 / 50, 1 / 100, 1 / 200, 1 / 400]
-    euler = convergence_study(field, y0, 1.0, "lie-euler", hs)
-    mid = convergence_study(field, y0, 1.0, "lie-midpoint", hs)
+    euler = convergence_study(field, y0, 1.0, "lie-euler", hs, 64)
+    mid = convergence_study(field, y0, 1.0, "lie-midpoint", hs, 64)
     worst_defect = 0.0
     for method in ("lie-euler", "lie-midpoint"):
         for h in hs:

@@ -6,16 +6,18 @@ The import checks run in fresh interpreters, because this test process has
 long since imported numpy and both numeric layers.
 """
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import liebutcher
-from liebutcher import cli, lbseries, matrixpostlie, sphere
+from liebutcher import cli, identities, lbseries, matrixpostlie, sphere
 from liebutcher.series import Series
 from liebutcher.sphere import ConvergenceError
 
@@ -54,6 +56,14 @@ def loaded_after(setup: str, modules=NUMERIC_MODULES) -> list[str]:
 @pytest.mark.parametrize("setup", ["import liebutcher", "import liebutcher.cli"])
 def test_imports_stay_symbolic(setup):
     assert loaded_after(setup) == []
+
+
+def test_identities_imports_nothing():
+    # every product and bracket comes from the caller, so the module has no
+    # import of its own, at the top or inside a function
+    tree = ast.parse(Path(identities.__file__).read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert [ast.unparse(n) for n in imports] == ["from __future__ import annotations"]
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import F, S, expm, per_sample_matrix_check, recursive_eval_F
-from liebutcher import lbseries, matrixpostlie
+from liebutcher import identities, lbseries, matrixpostlie
 from liebutcher.lbseries import (
     FieldSeries,
     exp_concat,
@@ -30,6 +30,17 @@ from liebutcher.series import Series
 from liebutcher.trees import EMPTY_FOREST, enumerate_trees
 
 KINDS = ["lu", "qr"]
+
+
+def corrupted_minus(m):
+    """A wrong pi_minus for the LU kind: the strict lower part, scaled."""
+    return 0.9 * np.tril(m, -1)
+
+
+def wrong_sign_act(act):
+    """|> with the sign flipped, from the real _act (kept before patching,
+    since mat_triangleright calls _act too)."""
+    return lambda minus, a, b: -act(minus, a, b)
 
 
 def reference_triangleright(kind, m, n):
@@ -85,11 +96,16 @@ class TestProjections:
         with pytest.raises(ValueError, match="square|2x2"):
             eval_F("lu", m, S("[]"))
 
-    def test_kind_coercion(self):
+    @pytest.mark.parametrize("kind", ["QR", "Lu", "lu ", b"lu", None],
+                             ids=["QR", "Lu", "trailing-space", "bytes", "None"])
+    def test_kind_is_one_of_two_strings(self, kind):
         m = np.ones((3, 3))
-        assert np.array_equal(project_minus("QR", m), project_minus("qr", m))
-        with pytest.raises(ValueError):
-            project_minus("cholesky", m)
+        for call in (lambda: project_minus(kind, m), lambda: project_plus(kind, m),
+                     lambda: mat_triangleright(kind, m, m), lambda: eval_F(kind, m, S("[]")),
+                     lambda: check_projection_identity(kind, 3, 1),
+                     lambda: check_matrix_postlie_axioms(kind, 3, 1)):
+            with pytest.raises(ValueError, match="'lu' or 'qr'"):
+                call()
 
     def test_unknown_kind_names_both_choices(self):
         with pytest.raises(ValueError, match="'lu' or 'qr'"):
@@ -97,10 +113,15 @@ class TestProjections:
         with pytest.raises(ValueError, match="'lu' or 'qr'"):
             check_projection_identity("lq", 3, samples=1)
 
-    @pytest.mark.parametrize("kind, name", [("lu", "LU"), ("Qr", "QR"), ("QR", "QR")])
+    @pytest.mark.parametrize("kind, name",
+                             [("lu", "LU"), ("qr", "QR"), ("Qr", None), ("QR", None)])
     def test_report_names_the_kind_in_capitals(self, kind, name):
-        assert check_projection_identity(kind, 3, samples=2)["kind"] == name
-        assert check_matrix_postlie_axioms(kind, 3, samples=2)["kind"] == name
+        for check in (check_projection_identity, check_matrix_postlie_axioms):
+            if name is None:
+                with pytest.raises(ValueError, match="'lu' or 'qr'"):
+                    check(kind, 3, samples=2)
+            else:
+                assert check(kind, 3, samples=2)["kind"] == name
 
 
 class TestProduct:
@@ -188,24 +209,26 @@ class TestChecks:
         assert report["pass"]
 
     def test_checks_run_the_identities_postlie_exports(self):
-        from liebutcher import identities, postlie
+        from liebutcher import postlie
 
-        for name in ("postlie_identities", "dbracket"):
-            assert getattr(matrixpostlie, name) is getattr(postlie, name)
-            assert getattr(postlie, name) is getattr(identities, name)
+        assert matrixpostlie.postlie_identities is postlie.postlie_identities
+        assert postlie.postlie_identities is identities.postlie_identities
         assert postlie.associator is identities.associator
+        # the checks' dbracket is the generic one; postlie's is it with grafting
+        assert matrixpostlie.dbracket is identities.dbracket
+        assert postlie.dbracket is not identities.dbracket
+        a, b = S("[]") + S("[[]]"), S("[] [[]]", 2) - S("[[[]]]")
+        assert postlie.dbracket(a, b) == identities.dbracket(a, b, triangleright, bracket)
+        assert postlie.dbracket(a, b) != Series.zero()
 
-    def test_corrupted_projection_fails(self):
-        report = check_projection_identity(
-            "lu", 4, samples=20, projector=lambda m: 0.9 * np.tril(m, -1)
-        )
+    def test_corrupted_projection_fails(self, monkeypatch):
+        monkeypatch.setattr(matrixpostlie, "_pi_minus", lambda kind, n: corrupted_minus)
+        report = check_projection_identity("lu", 4, samples=20)
         assert not report["pass"]
 
-    def test_wrong_sign_product_fails(self):
-        report = check_matrix_postlie_axioms(
-            "lu", 4, samples=20,
-            product=lambda a, b: -mat_triangleright("lu", a, b),
-        )
+    def test_wrong_sign_product_fails(self, monkeypatch):
+        monkeypatch.setattr(matrixpostlie, "_act", wrong_sign_act(matrixpostlie._act))
+        report = check_matrix_postlie_axioms("lu", 4, samples=20)
         assert not report["pass"]
 
     @pytest.mark.parametrize("check", [check_projection_identity, check_matrix_postlie_axioms])
@@ -228,31 +251,34 @@ class TestChecks:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             check("qr", 3, samples=5, seed=-1)
 
-    def test_hooks_receive_stacks(self):
+    def test_hooks_receive_stacks(self, monkeypatch):
         shapes = set()
+        pi_minus, act = matrixpostlie._pi_minus, matrixpostlie._act
 
-        def projector(m):
-            shapes.add(m.shape)
-            return np.tril(m, -1)
+        def projector(kind, n):
+            minus = pi_minus(kind, n)
+            return lambda m: shapes.add(("minus", m.shape)) or minus(m)
 
-        def product(a, b):
-            shapes.add(a.shape)
-            return mat_triangleright("lu", a, b)
+        def product(minus, a, b):
+            shapes.add(("act", a.shape))
+            return act(minus, a, b)
 
-        assert check_projection_identity("lu", 3, samples=9, projector=projector)["pass"]
-        assert check_matrix_postlie_axioms("lu", 3, samples=9, product=product)["pass"]
-        assert shapes == {(9, 3, 3)}
+        monkeypatch.setattr(matrixpostlie, "_pi_minus", projector)
+        assert check_projection_identity("lu", 3, samples=9)["pass"]
+        monkeypatch.setattr(matrixpostlie, "_act", product)
+        assert check_matrix_postlie_axioms("lu", 3, samples=9)["pass"]
+        assert shapes == {("minus", (9, 3, 3)), ("act", (9, 3, 3))}
 
-    def test_nan_residual_fails(self):
-        report = check_projection_identity(
-            "lu", 3, samples=5, projector=lambda m: np.full_like(m, np.nan)
-        )
+    def test_nan_residual_fails(self, monkeypatch):
+        monkeypatch.setattr(matrixpostlie, "_pi_minus",
+                            lambda kind, n: lambda m: np.full_like(m, np.nan))
+        report = check_projection_identity("lu", 3, samples=5)
         assert np.isnan(report["max_residual"])
         assert report["pass"] is False
 
     @pytest.mark.parametrize("check", [check_projection_identity, check_matrix_postlie_axioms])
     def test_max_residual_is_a_float(self, check):
-        report = check("lu", 3, seed=1914)
+        report = check("lu", 3, 100, seed=1914)
         assert type(report["max_residual"]) is float
         assert type(report["pass"]) is bool
 
@@ -290,16 +316,24 @@ class TestBatchedSampling:
                     )
 
     @pytest.mark.parametrize("seed", [0, 1914, 90210])
-    def test_corrupted_hooks_equal_the_oracle(self, seed):
-        projector = lambda m: 0.9 * np.tril(m, -1)  # noqa: E731
+    def test_corrupted_hooks_equal_the_oracle(self, monkeypatch, seed):
+        # the oracles run first: they call the public functions, which the
+        # patches below would corrupt too
         product = lambda a, b: -mat_triangleright("lu", a, b)  # noqa: E731
-        for name, check, hook in (
-            ("projection-identity", partial(check_projection_identity, projector=projector), projector),
-            ("postlie-axioms", partial(check_matrix_postlie_axioms, product=product), product),
-        ):
-            want = per_sample_matrix_check(name, "lu", 4, 20, seed=seed, hook=hook)
-            assert not want["pass"]
-            assert_same_report(check("lu", 4, 20, seed=seed), want)
+        want = {
+            "projection-identity": per_sample_matrix_check(
+                "projection-identity", "lu", 4, 20, seed=seed, hook=corrupted_minus),
+            "postlie-axioms": per_sample_matrix_check(
+                "postlie-axioms", "lu", 4, 20, seed=seed, hook=product),
+        }
+        assert not any(w["pass"] for w in want.values())
+        monkeypatch.setattr(matrixpostlie, "_pi_minus", lambda kind, n: corrupted_minus)
+        assert_same_report(check_projection_identity("lu", 4, 20, seed=seed),
+                           want["projection-identity"])
+        monkeypatch.undo()
+        monkeypatch.setattr(matrixpostlie, "_act", wrong_sign_act(matrixpostlie._act))
+        assert_same_report(check_matrix_postlie_axioms("lu", 4, 20, seed=seed),
+                           want["postlie-axioms"])
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("block_doubles", [1, 13 * 3 * 16])
@@ -391,7 +425,8 @@ class TestEvalF:
                         rhs = mat_triangleright(kind, fa, fb)
                         assert np.allclose(lhs, rhs, atol=1e-12)
                         lhs2 = eval_F(kind, self.m0, dbracket(sa, sb))
-                        rhs2 = dbracket(fa, fb, partial(mat_triangleright, kind), commutator)
+                        rhs2 = identities.dbracket(fa, fb, partial(mat_triangleright, kind),
+                                                   commutator)
                         assert np.allclose(lhs2, rhs2, atol=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)

@@ -9,6 +9,7 @@ import pytest
 
 import helpers
 from helpers import PeelGraftExtension, S, T, deep_tree
+from liebutcher import postlie
 from liebutcher.postlie import (
     GraftExtension,
     bracket,
@@ -21,7 +22,7 @@ from liebutcher.postlie import (
     symmetrized_associator_defect,
     triangleright,
 )
-from liebutcher.series import Series, concat
+from liebutcher.series import Series, bilinear, concat
 from liebutcher.trees import (
     LEAF,
     MAX_DEPTH,
@@ -159,9 +160,10 @@ class TestTriangleright:
             assert ext.basis(w, v) == oracle.basis(w, v), (w, v)
             assert ext.gl_basis(w, v) == oracle.gl_basis(w, v), (w, v)
 
-    @pytest.mark.parametrize("product, places", [(triangleright, 8), (gl_product, 9)],
+    @pytest.mark.parametrize("product, basis, places",
+                             [(triangleright, "basis", 8), (gl_product, "gl_basis", 9)],
                              ids=["graft", "gl"])
-    def test_one_node_trees_on_the_left_in_closed_form(self, product, places):
+    def test_one_node_trees_on_the_left_in_closed_form(self, product, basis, places):
         # each of k equal letters picks one of the 8 nodes of v, or in the GL
         # product also the head: C(places + k - 1, k) forests, whose
         # coefficients sum to places^k
@@ -173,12 +175,12 @@ class TestTriangleright:
             assert len(got.terms) == math.comb(places + k - 1, k)
             assert sum(got.terms.values()) == places**k
             if k <= 6:
-                assert got == product(w, v, extension=oracle)
+                assert got == bilinear(w, v, getattr(oracle, basis))
 
-    @pytest.mark.parametrize("product, extra", [(triangleright, 0), (gl_product, 1)],
+    @pytest.mark.parametrize("basis, extra", [("basis", 0), ("gl_basis", 1)],
                              ids=["graft", "gl"])
     @pytest.mark.parametrize("shape", ["chain", "branching"])
-    def test_one_frame_per_level_of_a_deep_tree(self, product, extra, shape):
+    def test_one_frame_per_level_of_a_deep_tree(self, basis, extra, shape):
         # [] on a MAX_DEPTH-deep tree, with the recursion limit at the current
         # depth plus one frame per level and 30 for the call: a product that
         # spent two frames per level would overflow here
@@ -189,7 +191,8 @@ class TestTriangleright:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + MAX_DEPTH + 30)
         try:
-            got = product(S("[]"), v, extension=GraftExtension())
+            # a fresh extension, so every level runs cold
+            got = bilinear(S("[]"), v, getattr(GraftExtension(), basis))
         finally:
             sys.setrecursionlimit(limit)
         degree = next(iter(v.terms)).degree
@@ -330,8 +333,9 @@ class TestAxiomChecker:
         with pytest.raises(DegreeCapError, match="set LIEBUTCHER_DEGREE_CAP to raise it"):
             check_postlie_axioms(8)
 
-    def test_broken_extension_fails_with_witness(self):
-        report = check_postlie_axioms(4, extension=_BrokenLeibniz())
+    def test_broken_extension_fails_with_witness(self, monkeypatch):
+        monkeypatch.setattr(postlie, "_DEFAULT_EXTENSION", _BrokenLeibniz())
+        report = check_postlie_axioms(4)
         assert report["pass"] is False and report["degree"] == 4
         witness = report["witness"]
         assert list(witness) == ["axiom", "x", "y", "z", "lhs", "rhs"]
@@ -362,7 +366,7 @@ class _DoubledRoot(GraftExtension):
         if len(w.trees) == 1 and len(v.trees) == 1:
             x, t = w.trees[0], v.trees[0]
             root = Forest((Tree((x,) + t.children),))
-            return tuple((f, c + (f is root)) for f, c in graft(x, t).terms.items())
+            return tuple((f, c + (f is root)) for f, c in super()._basis(w, v))
         return super()._basis(w, v)
 
 
@@ -382,12 +386,12 @@ class TestPreLieDegeneration:
         assert len(merged.terms) == 1
         assert next(iter(merged.terms.values())) == 2
 
-    def test_corrupted_graft_breaks_degeneration(self):
-        ext = _DoubledRoot()
+    def test_corrupted_graft_breaks_degeneration(self, monkeypatch):
+        monkeypatch.setattr(postlie, "_DEFAULT_EXTENSION", _DoubledRoot())
         leaf = T("[]")
         chain = T("[[]]")
         defects = [
-            symmetrized_associator_defect(x, y, z, extension=ext)
+            symmetrized_associator_defect(x, y, z)
             for x, y, z in [
                 (leaf, chain, leaf),
                 (chain, leaf, leaf),
@@ -470,7 +474,7 @@ class TestClearCaches:
         from liebutcher.postlie import clear_caches
 
         ext = GraftExtension()
-        triangleright(S("[]"), S("[[]]"), extension=ext)
+        gl_product(S("[]"), S("[[]]"), extension=ext)
         filled = ext.basis.cache_info().currsize
         clear_caches()
         assert filled and ext.basis.cache_info().currsize == filled

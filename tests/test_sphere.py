@@ -171,9 +171,9 @@ class TestTrajectory:
     @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
     def test_rejects_bad_step(self, h):
         with pytest.raises(ValueError, match="step size"):
-            trajectory(FIELD, Y0, h, 2)
+            trajectory(FIELD, Y0, h, 2, "lie-euler")
         with pytest.raises(ValueError, match="step size"):
-            integrate(FIELD, Y0, h, 2)
+            integrate(FIELD, Y0, h, 2, "lie-euler")
 
     @pytest.mark.parametrize("method", ["lie-euler", "lie-midpoint"])
     def test_overflowing_step_names_h(self, method):
@@ -182,11 +182,11 @@ class TestTrajectory:
 
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError, match="steps"):
-            trajectory(FIELD, Y0, 0.1, -1)
+            trajectory(FIELD, Y0, 0.1, -1, "lie-euler")
         with pytest.raises(ValueError, match="steps"):
-            integrate(FIELD, Y0, 0.1, -1)
-        assert [t for t, _ in trajectory(FIELD, Y0, 0.1, 0)] == [0.0]
-        assert integrate(FIELD, Y0, 0.1, 0) == tuple(Y0)
+            integrate(FIELD, Y0, 0.1, -1, "lie-euler")
+        assert [t for t, _ in trajectory(FIELD, Y0, 0.1, 0, "lie-euler")] == [0.0]
+        assert integrate(FIELD, Y0, 0.1, 0, "lie-euler") == tuple(Y0)
 
     @pytest.mark.parametrize("method", ["lie-euler", "lie-midpoint"])
     def test_points_are_float_tuples(self, method):
@@ -234,7 +234,7 @@ class TestUnitVector:
     )
     def test_integrators_check_the_start_point(self, y0, message):
         for run in (
-            lambda: trajectory(FIELD, y0, 0.1, 3),
+            lambda: trajectory(FIELD, y0, 0.1, 3, "lie-euler"),
             lambda: integrate(FIELD, y0, 0.1, 3, "lie-midpoint"),
             lambda: convergence_study(FIELD, y0, 0.4, "lie-euler", [0.1, 0.05, 0.025], 2),
         ):
@@ -272,19 +272,19 @@ class TestConvergence:
 
     def test_rejects_degenerate_step_lists(self):
         with pytest.raises(ValueError):
-            convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.1, 0.05])
+            convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.1, 0.05], 64)
         with pytest.raises(ValueError):
-            convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.05, 0.1, 0.2])
+            convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.05, 0.1, 0.2], 64)
         with pytest.raises(ValueError):
-            convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.1, 0.05, 0.03])
+            convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.1, 0.05, 0.03], 64)
         with pytest.raises(ValueError, match="step size"):
-            convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.1, 0.05, 0.0])
+            convergence_study(FIELD, Y0, 1.0, "lie-euler", [0.1, 0.05, 0.0], 64)
 
     @pytest.mark.parametrize("T", [1e-300, 1e-10, 0.04])
     def test_rejects_a_horizon_shorter_than_a_step(self, T):
         # T / h would round to 0 steps, and every error would read exactly 0
         with pytest.raises(ValueError, match=rf"step 0\.1 is longer than the horizon {T!r}"):
-            convergence_study(FIELD, Y0, T, "lie-euler", [0.1, 0.05, 0.025])
+            convergence_study(FIELD, Y0, T, "lie-euler", [0.1, 0.05, 0.025], 64)
 
     @pytest.mark.parametrize("refine", [0, -4])
     def test_rejects_refine_below_one(self, refine):
@@ -294,7 +294,7 @@ class TestConvergence:
     @pytest.mark.parametrize("T", [0.0, -0.5, math.nan, math.inf])
     def test_rejects_bad_horizon(self, T):
         with pytest.raises(ValueError, match="horizon"):
-            convergence_study(FIELD, Y0, T, "lie-euler", [0.1, 0.05, 0.025])
+            convergence_study(FIELD, Y0, T, "lie-euler", [0.1, 0.05, 0.025], 64)
 
     def test_rejects_a_vanishing_reference_step(self):
         with pytest.raises(ValueError, match="reference step 5e-324/2 is too small"):
